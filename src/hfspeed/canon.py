@@ -12,8 +12,16 @@ place, so the vertex in the highest canonical position always carries the
 maximum invariant.  The enumerator relies on that to reject most candidate
 children without running this search.
 
-Group orders come from a small deterministic Schreier-Sims over the
-discovered generators.
+|Aut| is read off the search tree, as nauty's grpsize: the product over
+the first path of the orbit size of each individualized vertex under the
+discovered generators that fix the path before it.  The orbit pruning
+guarantees those generators are complete at every first-path node by the
+time the search returns, so no group computation is needed.  group_order
+(a small deterministic Schreier-Sims) remains a public helper and the
+tests' oracle for that product.
+
+subset_orbit_reps images masks through two half-width lookup tables per
+generator, so one image costs two table reads instead of a bit loop.
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             initial.extend(groups[k] for k in sorted(groups))
 
     best = None          # (enc, labeling)
-    first = None         # (enc, labeling) at the first leaf
+    first = None         # (enc, labeling, path) at the first leaf
     gens = []
 
     def record_aut(lab_a, lab_b):
@@ -185,7 +193,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             lab = _perm_from_discrete(cells, n)
             enc = _encode_by_labeling(rows, n, lab)
             if first is None:
-                first = (enc, lab)
+                first = (enc, lab, prefix)
                 best = (enc, lab)
                 return
             if enc == first[0]:
@@ -207,7 +215,25 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     search(initial, ())
     lab = best[1]
     canon = relabel(g, lab)
-    return CanonicalForm(canon, lab, group_order(gens, n), tuple(gens))
+    return CanonicalForm(canon, lab, _first_path_order(first[2], gens, n),
+                         tuple(gens))
+
+
+def _first_path_order(path, gens, n):
+    """|<gens>| as the product over the first path of |orbit of path[i]|
+    under the generators fixing path[:i] pointwise.
+
+    Every first-path child not pruned by orbit_hit had its subtree searched,
+    which finds an automorphism onto it when one exists; so these orbits
+    are the full stabilizer orbits, and the stabilizer of the whole path is
+    trivial because its refined partition is discrete.
+    """
+    order = 1
+    fixers = gens
+    for v in path:
+        order *= vertex_orbit(v, fixers, n).bit_count()
+        fixers = [p for p in fixers if p[v] == v]
+    return order
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -310,27 +336,48 @@ def apply_perm_to_mask(mask: int, perm) -> int:
     return out
 
 
-def subset_orbit_reps(n: int, generators):
-    """One representative per orbit of 2^[n] under the generated group.
+def _mask_tables(perm, n):
+    """Half-width image tables: the image of x is lo[x & lomask] | hi[x >> h]."""
+    def table(offset, width):
+        t = [0] * (1 << width)
+        for x in range(1, 1 << width):
+            low = x & -x
+            t[x] = t[x ^ low] | 1 << perm[offset + low.bit_length() - 1]
+        return t
+    h = n // 2
+    return table(0, h), table(h, n - h)
 
-    Representatives are the least masks of their orbits, listed ascending.
-    With no generators every mask is its own orbit.
+
+def subset_orbit_reps(n: int, generators, masks=None):
+    """One representative per orbit of subsets of [n] under the generated
+    group: the least mask of each orbit, listed ascending.
+
+    masks, when given, must be an ascending list closed under the group
+    (a union of orbits); only its orbits are reported.  Without it the
+    whole powerset is reduced.  With no generators every mask is its own
+    orbit.
     """
-    total = 1 << n
+    if masks is None:
+        masks = range(1 << n)
     if not generators:
-        return list(range(total))
+        return list(masks)
+    h = n // 2
+    lomask = (1 << h) - 1
+    tables = [_mask_tables(p, n) for p in generators]
     reps = []
-    seen = bytearray(total)
-    for m in range(total):
+    seen = bytearray(1 << n)
+    for m in masks:
         if seen[m]:
             continue
         reps.append(m)
-        frontier = [m]
         seen[m] = 1
+        frontier = [m]
         while frontier:
             x = frontier.pop()
-            for p in generators:
-                y = apply_perm_to_mask(x, p)
+            xl = x & lomask
+            xh = x >> h
+            for lo, hi in tables:
+                y = lo[xl] | hi[xh]
                 if not seen[y]:
                     seen[y] = 1
                     frontier.append(y)

@@ -281,7 +281,9 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     rows = []
     for n in range(1, n_max + 1):
         total, covered = sup.labeled[n], sub.labeled[n]
-        assert 0 < covered <= total
+        if not 0 < covered <= total:
+            raise RuntimeError(f"kpr count at n={n}: covered {covered} "
+                               f"outside (0, {total}]")
         fracs[n] = Fraction(covered, total)
         rows.append({"n": n, "total": str(total), "covered": str(covered),
                      "fraction": str(fracs[n])})
@@ -381,7 +383,9 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
             w = _labeled_weight(g)
             covered += w
             cnt = _count_partitions(g, t_family, l, _budget(budget_limit))
-            assert cnt >= 1
+            if cnt < 1:
+                raise RuntimeError(f"member {graph6.encode(g)} of the "
+                                   f"product has no counted partition")
             if cnt == 1 and is_balanced(mres.certificate, eps):
                 unique_balanced += w
             if spot is None:
@@ -495,7 +499,9 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
         lab, blab = tp.labeled[n], tb.labeled[n]
         # both sides keep at least one graph per order: the all-in-one-
         # crown split works for edgeless or complete depending on beta
-        assert lab > 0 and blab > 0
+        if not (lab > 0 and blab > 0):
+            raise RuntimeError(f"star-speed count at n={n} is zero: "
+                               f"{lab} labeled, {blab} benchmark")
         delta = math.log2(lab) - math.log2(blab)
         resid = delta - k * math.log2(n)
         residuals[n] = resid

@@ -31,10 +31,12 @@ from itertools import combinations
 from .canon import canonical_form, subset_orbit_reps, vertex_invariant, vertex_orbit
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import Budget, Family
-from .graphs import Graph, add_vertex, bits
+from .graphs import Graph, add_vertex
 from . import graph6
 
 ENUM_MAX_N = 16
+# bump when the checkpoint payload changes shape; old files are then ignored
+FORMAT_VERSION = 1
 
 
 class SpeedTable:
@@ -103,26 +105,7 @@ def _child_records(family, parents, n, budget_limit):
             # new vertex needs the maximum degree in the child
             if t >= maxdeg and not sub & deg_mask[t]:
                 survivors.append(sub)
-        if gens:
-            reps = []
-            seen = set()
-            for sub in survivors:
-                if sub in seen:
-                    continue
-                reps.append(sub)
-                frontier = [sub]
-                seen.add(sub)
-                while frontier:
-                    x = frontier.pop()
-                    for p in gens:
-                        y = 0
-                        for ub in bits(x):
-                            y |= 1 << p[ub]
-                        if y not in seen:
-                            seen.add(y)
-                            frontier.append(y)
-        else:
-            reps = survivors
+        reps = subset_orbit_reps(n, gens, survivors)
         parent = Graph.from_rows(rows)
         for sub in reps:
             child = add_vertex(parent, sub)
@@ -171,8 +154,10 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     augmentation scheme would silently undercount).  threads > 1 fans the
     parent set out to a process pool; results are merged by sorted
     canonical encoding, so any worker count produces identical output.
-    Checkpoints, when enabled, are keyed by (family text hash, n) and make
-    reruns resume at the highest completed level.
+    Checkpoints, when enabled, are keyed by (hash of the format version and
+    the structural family key, n) and make reruns resume at the highest
+    completed level; a resumed run reads its lower members from the
+    per-level files.
     """
     if not f.hereditary:
         raise UnsupportedOperationError(
@@ -184,7 +169,8 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     ckpt_key = None
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
-        ckpt_key = hashlib.sha256(f.text().encode()).hexdigest()[:16]
+        ident = repr((FORMAT_VERSION, f.key()))
+        ckpt_key = hashlib.sha256(ident.encode()).hexdigest()[:16]
 
     def ckpt_path(n):
         return os.path.join(checkpoint_dir, f"enum-{ckpt_key}-{n:02d}.pkl")
@@ -213,10 +199,13 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
 
     members = None
     if keep_members:
-        members = [[Graph.from_rows(r) for r, _ in level]]
-        # rebuild earlier levels if we resumed mid-run
-        if start_n > 0:
-            members = [None] * start_n + members
+        members = [None] * start_n + [[Graph.from_rows(r) for r, _ in level]]
+        # a resumed run finds its lower levels in their own checkpoints
+        for n in range(start_n):
+            if not os.path.exists(ckpt_path(n)):
+                break
+            with open(ckpt_path(n), "rb") as fh:
+                members[n] = [Graph.from_rows(r) for r, _ in pickle.load(fh)[2]]
 
     pool = None
     blob = None
@@ -256,10 +245,9 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             pool.join()
 
     if members is not None and any(m is None for m in members):
-        # resumed runs have no stored members below the checkpoint; rerun
-        # the cheap lower levels locally to fill them in
-        lower = enumerate_family(f, start_n, budget_limit=budget_limit,
-                                 keep_members=True)
+        # a lower checkpoint file is missing: rerun the lower levels
+        lower = enumerate_family(f, start_n - 1, budget_limit=budget_limit,
+                                 threads=threads, keep_members=True)
         for i in range(start_n):
             members[i] = lower.members[i]
 

@@ -6,6 +6,8 @@ raises ResourceLimitError, it never degrades to a guess.  Positive
 partition-style decisions carry a certificate that can be re-verified
 independently; exhaustive negative searches are certified by a transcript
 hash (family text, graph, node count), which pins the run for reproducing.
+The hash is computed on first read, so the enumerator, which reads only
+the verdict, never pays for it.
 
 Hereditariness is tracked *by construction*: the flag is True only when the
 expression shape guarantees it (forb, H, iota, partition products and
@@ -62,15 +64,30 @@ class MembershipResult:
     certificate is present on the constructive side (a partition, an
     embedding, a component split, depending on the constructor); when the
     verdict rests on an exhausted search instead, transcript_hash pins it.
+    The hash is computed on first read, from the deciding source's
+    transcript_head(), the graph and the node count.
     """
 
-    __slots__ = ("member", "certificate", "transcript_hash", "nodes")
+    __slots__ = ("member", "certificate", "nodes", "_source", "_graph",
+                 "_hash")
 
-    def __init__(self, member, certificate, transcript_hash, nodes):
+    def __init__(self, member, certificate, nodes, source=None, graph=None):
         self.member = member
         self.certificate = certificate
-        self.transcript_hash = transcript_hash
         self.nodes = nodes
+        self._source = source
+        self._graph = graph
+        self._hash = None
+
+    @property
+    def transcript_hash(self):
+        if self.certificate is not None:
+            return None
+        if self._hash is None:
+            blob = (f"{self._source.transcript_head()}|"
+                    f"{graph6.encode(self._graph)}|{self.nodes}")
+            self._hash = hashlib.sha256(blob.encode()).hexdigest()
+        return self._hash
 
     def __bool__(self):
         return self.member
@@ -118,6 +135,10 @@ class Family:
     def text(self) -> str:
         raise NotImplementedError
 
+    def transcript_head(self) -> str:
+        """Leading field of an uncertified verdict's transcript blob."""
+        return self.text()
+
     def __eq__(self, other):
         return isinstance(other, Family) and self.key() == other.key()
 
@@ -139,12 +160,7 @@ class Family:
             budget = Budget()
         start = budget.used
         member, cert = self._decide(g, budget, new_vertex_only)
-        nodes = budget.used - start
-        thash = None
-        if cert is None:
-            blob = f"{self.text()}|{graph6.encode(g)}|{nodes}"
-            thash = hashlib.sha256(blob.encode()).hexdigest()
-        return MembershipResult(member, cert, thash, nodes)
+        return MembershipResult(member, cert, budget.used - start, self, g)
 
     def contains(self, g: Graph, budget: Budget | None = None) -> bool:
         return self.membership(g, budget).member

@@ -429,8 +429,7 @@ def homogeneous_decomposition(g: Graph, r: int):
     Each step takes the least available r-clique, else the least available
     r-independent set.  Returns (parts, leftover_mask) where parts is a list
     of ("clique" | "independent", mask) pairs.  Ramsey's bound R(r,r) <= 4**r
-    guarantees the leftover has at most 4**r vertices; asserted when that is
-    informative.
+    guarantees the leftover has at most 4**r vertices; that is checked.
     """
     if r < 1:
         raise ValidationError("part size must be positive")
@@ -446,6 +445,7 @@ def homogeneous_decomposition(g: Graph, r: int):
                 break
             parts.append(("independent", got))
         rem ^= got
-    if 4 ** r < g.n:
-        assert rem.bit_count() <= 4 ** r
+    if rem.bit_count() > 4 ** r:
+        raise RuntimeError(f"leftover of {rem.bit_count()} vertices "
+                           f"exceeds the Ramsey bound 4**{r}")
     return parts, rem

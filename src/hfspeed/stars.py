@@ -25,7 +25,7 @@ import hashlib
 import json
 from itertools import combinations, combinations_with_replacement
 
-from .canon import canonical_form
+from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult
 from .graphs import Graph, bits, delete_vertex, mask_of
@@ -252,6 +252,10 @@ class Constellation:
 
     def stable_hash(self) -> str:
         return hashlib.sha256(self.to_json().encode()).hexdigest()
+
+    def transcript_head(self) -> str:
+        """Leading field of an uncertified P(J) verdict's transcript blob."""
+        return "pj|" + self.to_json()
 
     def canonical_key(self):
         """Invariant of the equivalence class: canonical form of the
@@ -483,8 +487,8 @@ def find_template(g: Graph, c, budget_limit: int | None = None):
         return None
 
     t = embed(0, 0)
-    if t is not None:
-        assert verify_template(g, c, t)
+    if t is not None and not verify_template(g, c, t):
+        raise RuntimeError("found template failed re-verification")
     return t
 
 
@@ -616,12 +620,7 @@ def is_member_PJ(g: Graph, c, budget_limit: int | None = None) -> MembershipResu
     budget = _budget(budget_limit)
     start = budget.used
     cert = _pj_decide(g, c, budget)
-    nodes = budget.used - start
-    thash = None
-    if cert is None:
-        blob = f"pj|{c.to_json()}|{graph6.encode(g)}|{nodes}"
-        thash = hashlib.sha256(blob.encode()).hexdigest()
-    return MembershipResult(cert is not None, cert, thash, nodes)
+    return MembershipResult(cert is not None, cert, budget.used - start, c, g)
 
 
 def verify_pj_certificate(g: Graph, c, cert) -> bool:
@@ -788,21 +787,7 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         pperms = []
         for p in _assembly_generators(base, phi, alpha, beta, total, l):
             pperms.append(tuple(pair_idx[(p[u], p[v])] for u, v in pairs))
-        seen = bytearray(1 << len(pairs))
-        for code in range(1 << len(pairs)):
-            if seen[code]:
-                continue
-            seen[code] = 1
-            stack = [code]
-            while stack:
-                x = stack.pop()
-                for pp in pperms:
-                    y = 0
-                    for b in bits(x):
-                        y |= 1 << pp[b]
-                    if not seen[y]:
-                        seen[y] = 1
-                        stack.append(y)
+        for code in subset_orbit_reps(len(pairs), pperms):
             rows = list(base)
             for b in bits(code):
                 u, v = pairs[b]

@@ -100,7 +100,9 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
         return None
 
     l, witness_s = 0, feasible_s(0)
-    assert witness_s is not None  # H(0,0) = {K0} and K0 is never a pattern
+    if witness_s is None:
+        # H(0,0) = {K0} and K0 is never a pattern
+        raise RuntimeError("chi_c scan found no witness at level 0")
     while True:
         nxt = feasible_s(l + 1)
         if nxt is None:

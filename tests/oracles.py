@@ -166,3 +166,28 @@ def verify_partition_certificate(g, fam, cert):
         return all(naive_member(induced_subgraph(g, sorted(p)), f)
                    for p, f in zip(parts, fam.factors))
     return False
+
+
+def bfs_subset_orbit_reps(n, generators, masks=None):
+    """Least mask of each subset orbit, ascending, by a plain BFS that
+    images each mask one bit at a time (only the orbits meeting masks)."""
+    reps = []
+    seen = set()
+    for m in (range(1 << n) if masks is None else masks):
+        if m in seen:
+            continue
+        orbit = {m}
+        frontier = [m]
+        while frontier:
+            x = frontier.pop()
+            for p in generators:
+                y = 0
+                for v in range(n):
+                    if x >> v & 1:
+                        y |= 1 << p[v]
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
+        seen |= orbit
+        reps.append(min(orbit))
+    return sorted(reps)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 from itertools import permutations
 
 import pytest
@@ -14,7 +15,10 @@ from hfspeed.graphs import (
     Graph, bits, complete, complete_bipartite, cycle, edgeless, path,
     relabel, star,
 )
-from oracles import all_labeled_graphs, brute_aut_order, brute_isomorphic
+from oracles import (
+    all_labeled_graphs, bfs_subset_orbit_reps, brute_aut_order,
+    brute_isomorphic,
+)
 from test_graphs import graphs_strategy
 
 UNLABELED_COUNTS = [1, 1, 2, 4, 11, 34]  # graphs on 0..5 vertices
@@ -50,6 +54,37 @@ class TestCanonicalForm:
             reps = {canonical_graph(g) for g in all_labeled_graphs(n)}
             for g in reps:
                 assert canonical_form(g).aut_order == brute_aut_order(g)
+
+    def test_search_tree_aut_order_matches_oracles_to_n7(self):
+        # |Aut| read off the first path against Schreier-Sims over the same
+        # generators and against a full permutation scan, on every class up
+        # to n = 7 and on a relabelled copy of each
+        from hfspeed.enumeration import enumerate_family
+        from hfspeed.families import ALL
+        rng = random.Random(7)
+        table = enumerate_family(ALL, 7)
+        for n in range(8):
+            for g in table.members[n]:
+                want = brute_aut_order(g)
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    cf = canonical_form(h)
+                    assert cf.aut_order == group_order(cf.generators, n) == want
+
+    def test_search_tree_aut_order_with_random_cells(self):
+        rng = random.Random(11)
+        for _ in range(400):
+            n = rng.randint(1, 10)
+            edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < 0.5]
+            g = Graph(n, edges)
+            k = rng.randint(1, n)
+            color = [rng.randrange(k) for _ in range(n)]
+            cells = [m for m in (sum(1 << v for v in range(n) if color[v] == c)
+                                 for c in range(k)) if m]
+            cf = canonical_form(g, cells)
+            assert cf.aut_order == group_order(cf.generators, n)
 
     @pytest.mark.parametrize("g,order", [
         (cycle(5), 10),
@@ -178,3 +213,19 @@ class TestOrbits:
             assert min(orbit) == r
             seen |= orbit
         assert len(seen) == 16
+
+    def test_subset_orbit_reps_match_bfs_oracle(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            n = rng.randint(1, 9)
+            gens = []
+            for _ in range(rng.randint(0, 3)):
+                p = list(range(n))
+                rng.shuffle(p)
+                gens.append(tuple(p))
+            assert subset_orbit_reps(n, gens) == bfs_subset_orbit_reps(n, gens)
+            # a union of orbits: popcount is invariant under every perm
+            sizes = {k for k in range(n + 1) if rng.random() < 0.5}
+            masks = [m for m in range(1 << n) if m.bit_count() in sizes]
+            assert (subset_orbit_reps(n, gens, masks)
+                    == bfs_subset_orbit_reps(n, gens, masks))

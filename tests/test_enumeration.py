@@ -141,6 +141,44 @@ class TestCheckpoints:
         t = enumerate_family(Forb([complete(3)]), 4, checkpoint_dir=ck)
         assert t.unlabeled == TRIANGLE_FREE[:5]
 
+    def test_checkpoints_keep_reduced_levels_apart(self, tmp_path):
+        # red(F) at l = 1 and l = 2 share their text; the checkpoint key
+        # must still tell them apart
+        from hfspeed.structure import ReducedFamily
+        ck = str(tmp_path)
+        enumerate_family(ReducedFamily(Forb([cycle(5)]), 1), 6,
+                         checkpoint_dir=ck)
+        t = enumerate_family(ReducedFamily(Forb([cycle(5)]), 2), 6,
+                             checkpoint_dir=ck)
+        assert t.unlabeled == [1, 1, 2, 4, 8, 12, 20]
+
+    def test_resumed_members_match_fresh_at_every_level(self, tmp_path):
+        fam = Forb([complete(3)])
+        ck = str(tmp_path)
+        enumerate_family(fam, 5, checkpoint_dir=ck)
+        resumed = enumerate_family(fam, 7, checkpoint_dir=ck)
+        fresh = enumerate_family(fam, 7)
+        for n in range(8):
+            assert resumed.members[n] == fresh.members[n]
+            assert len(resumed.members[n]) == resumed.unlabeled[n]
+
+    def test_resume_reads_lower_levels_from_disk(self, tmp_path, monkeypatch):
+        import hfspeed.enumeration as enumeration
+        fam = Forb([complete(3)])
+        ck = str(tmp_path)
+        enumerate_family(fam, 5, checkpoint_dir=ck)
+        levels = []
+        real = enumeration._child_records
+
+        def spy(family, parents, n, budget_limit):
+            levels.append(n)
+            return real(family, parents, n, budget_limit)
+
+        monkeypatch.setattr(enumeration, "_child_records", spy)
+        t = enumerate_family(fam, 7, checkpoint_dir=ck)
+        assert levels == [5, 6]
+        assert [len(m) for m in t.members] == TRIANGLE_FREE[:8]
+
 
 class TestExtensions:
     def test_k2_inside_iota_k3(self):

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 import hfspeed as hf
+from hfspeed import graph6
 from hfspeed.errors import (
     ResourceLimitError, UnsupportedOperationError, ValidationError,
 )
@@ -140,6 +143,21 @@ class TestCertificates:
         r1 = HST(2, 0).membership(cycle(5))
         r2 = HST(2, 0).membership(cycle(5))
         assert r1.transcript_hash == r2.transcript_hash
+
+    def test_transcript_hash_matches_eager_formula(self):
+        # hex values as computed eagerly, before the hash became lazy
+        cases = [
+            (Forb([complete(3)]), cycle(5),
+             "1a08bc1c0c9718fe1a1b06c65f6831d6b40a04fad65c50edabc45c70e855dd1c"),
+            (HST(2, 0), cycle(5),
+             "1653c4999743ce24e9d0b047779d384f4e46ea8d0d560e9410a107c2c76c1088"),
+        ]
+        for fam, g, pinned in cases:
+            res = fam.membership(g)
+            assert res.certificate is None
+            blob = f"{fam.text()}|{graph6.encode(g)}|{res.nodes}"
+            assert res.transcript_hash == hashlib.sha256(blob.encode()).hexdigest()
+            assert res.transcript_hash == pinned
 
     def test_nodes_accounted(self):
         res = HST(2, 1).membership(cycle(5))

@@ -1,5 +1,9 @@
+import hashlib
 import json
+import os
 import pickle
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -222,6 +226,25 @@ class TestTemplates:
         assert t is not None and t.psi == (0,)
         assert find_template(path(4), DOM) is None
 
+    def test_failed_reverification_raises_under_optimize(self):
+        # the re-verification is a raise, not an assert, so it survives -O
+        code = (
+            "import hfspeed.stars as st\n"
+            "from hfspeed.graphs import complete, star\n"
+            "st.verify_template = lambda *a: False\n"
+            "DOM = st.StarSystem(complete(1), (1,), 0)\n"
+            "try:\n"
+            "    st.find_template(star(3), DOM)\n"
+            "except RuntimeError as e:\n"
+            "    print('raised:', e)\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.startswith("raised:")
+
     def test_returned_templates_reverify(self):
         battery = [
             (cycle(4), BIP), (star(4), DOM),
@@ -344,6 +367,15 @@ class TestMembership:
         r = is_member_PJ(complete(3), DOM)
         assert r.certificate is None and r.transcript_hash
         assert r.nodes > 0
+
+    def test_transcript_hash_matches_eager_formula(self):
+        r = is_member_PJ(complete(3), DOM)
+        c = DOM.as_constellation()
+        blob = f"pj|{c.to_json()}|{graph6.encode(complete(3))}|{r.nodes}"
+        assert r.transcript_hash == hashlib.sha256(blob.encode()).hexdigest()
+        # hex value as computed eagerly, before the hash became lazy
+        assert r.transcript_hash == (
+            "3049251be2c6c8e361cf10a7b02dd160b03f8f97324418c66a7a4fb1d4ac9e4d")
 
     def test_heredity(self):
         battery = [E2J.as_constellation(), K2J.as_constellation(), SPLIT,
