@@ -55,7 +55,6 @@ from .families import (
     family_contains,
     graph_from_name,
     graph_name,
-    is_member,
 )
 from .dsl import format_family, parse_family
 from .enumeration import (
@@ -66,7 +65,6 @@ from .enumeration import (
     labeled_count_direct,
     one_vertex_extensions,
     speed_delta,
-    write_graph6,
 )
 from .structure import (
     ApexFreeResult,

@@ -47,10 +47,6 @@ from .structure import coloring_number, enumerate_reduced, is_balanced
 from . import graph6
 
 
-def _budget(limit):
-    return Budget(limit) if limit else Budget()
-
-
 # the eight first-part seeds, in scan order; later parts range over (C, S)
 # with C first.  du is disjoint union, co is complementation, apex(F) adds
 # one unrestricted vertex.  co(apex(C)) is apex(S), spelled directly.
@@ -142,6 +138,8 @@ def is_critical(f, *, n_check: int = 8, budget_limit: int | None = None,
     critical verdicts carry the full refutation table and the horizon-s
     described on CriticalityVerdict.
     """
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
     res = coloring_number(f, budget_limit)
     l = res.l
     if l == math.inf:
@@ -156,7 +154,7 @@ def is_critical(f, *, n_check: int = 8, budget_limit: int | None = None,
         prod = PartitionProduct(fams)
         hit = None
         for k in f.patterns:
-            mres = prod.membership(k, _budget(budget_limit))
+            mres = prod.membership(k, Budget(budget_limit))
             if mres.member:
                 hit = (k, mres.certificate)
                 break
@@ -377,12 +375,12 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
         covered = unique_balanced = 0
         spot = None
         for g in table.members[n]:
-            mres = prod.membership(g, _budget(budget_limit))
+            mres = prod.membership(g, Budget(budget_limit))
             if not mres.member:
                 continue
             w = _labeled_weight(g)
             covered += w
-            cnt = _count_partitions(g, t_family, l, _budget(budget_limit))
+            cnt = _count_partitions(g, t_family, l, Budget(budget_limit))
             if cnt < 1:
                 raise RuntimeError(f"member {graph6.encode(g)} of the "
                                    f"product has no counted partition")
@@ -487,12 +485,15 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
     if not 1 <= lo < n_max:
         raise ValidationError("the drift window needs at least two orders")
     start = time.perf_counter()
-    fam = PJFamily(c)
+    k = c.j.n
+    # P(J) with an empty core is H(#0s, #1s) over beta
+    fam = HST(c.beta.count(0), c.beta.count(1)) if k == 0 else PJFamily(c)
+    bench = HST(l, 0)
     tp = enumerate_family(fam, n_max, budget_limit=budget_limit,
                           threads=threads, keep_members=False)
-    tb = enumerate_family(HST(l, 0), n_max, budget_limit=budget_limit,
-                          threads=threads, keep_members=False)
-    k = c.j.n
+    tb = tp if fam == bench else enumerate_family(
+        bench, n_max, budget_limit=budget_limit, threads=threads,
+        keep_members=False)
     rows = []
     residuals = {}
     for n in range(1, n_max + 1):

@@ -32,7 +32,6 @@ from .canon import canonical_form, subset_orbit_reps, vertex_invariant, vertex_o
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import Budget, Family
 from .graphs import Graph, add_vertex
-from . import graph6
 
 ENUM_MAX_N = 16
 # bump when the checkpoint payload changes shape; old files are then ignored
@@ -109,7 +108,7 @@ def _child_records(family, parents, n, budget_limit):
         parent = Graph.from_rows(rows)
         for sub in reps:
             child = add_vertex(parent, sub)
-            budget = Budget(budget_limit) if budget_limit else None
+            budget = Budget(budget_limit)
             if not family.membership(child, budget, new_vertex_only=True).member:
                 continue
             inv = vertex_invariant(child)
@@ -165,6 +164,8 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             f"got {f.text()}")
     if n_max < 0 or n_max > ENUM_MAX_N:
         raise CapacityError(f"n_max {n_max} outside 0..{ENUM_MAX_N}")
+    if threads < 1:
+        raise ValidationError(f"threads must be >= 1, got {threads}")
 
     ckpt_key = None
     if checkpoint_dir:
@@ -188,8 +189,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                 start_n = n
                 break
     if level is None:
-        member0 = f.membership(empty,
-                               Budget(budget_limit) if budget_limit else None)
+        member0 = f.membership(empty, Budget(budget_limit))
         level = [(empty.rows, ())] if member0.member else []
         unlabeled = [len(level)]
         labeled = [len(level)]
@@ -259,11 +259,6 @@ def family_members(f: Family, n: int, **kw) -> list[Graph]:
     return enumerate_family(f, n, **kw).members[n]
 
 
-def write_graph6(graphs, fh):
-    for g in graphs:
-        fh.write(graph6.encode(g) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # the independent counting route
 
@@ -285,8 +280,7 @@ def labeled_count_direct(f: Family, n: int, budget_limit: int | None = None) -> 
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
         g = Graph.from_rows(rows)
-        budget = Budget(budget_limit) if budget_limit else None
-        if f.membership(g, budget).member:
+        if f.membership(g, Budget(budget_limit)).member:
             total += 1
     return total
 
@@ -298,8 +292,7 @@ def one_vertex_extensions(g: Graph, f: Family,
     out = []
     for sub in range(1 << g.n):
         child = add_vertex(g, sub)
-        budget = Budget(budget_limit) if budget_limit else None
-        if f.membership(child, budget).member:
+        if f.membership(child, Budget(budget_limit)).member:
             out.append(child)
     return out
 

@@ -24,6 +24,7 @@ from . import graph6
 from .graphs import (
     Bigraph,
     Graph,
+    _embed,
     bits,
     complement,
     components,
@@ -34,6 +35,7 @@ from .graphs import (
     find_bigraph_embedding,
     find_induced_embedding,
     induced_subgraph,
+    mask_of,
     path,
     star,
     subgraph_on_mask,
@@ -43,11 +45,18 @@ DEFAULT_NODE_BUDGET = 10_000_000
 
 
 class Budget:
-    """Search-node allowance shared across one top-level membership call."""
+    """Search-node allowance shared across one top-level membership call.
+
+    limit None means DEFAULT_NODE_BUDGET; a limit below 1 is refused.
+    """
 
     __slots__ = ("limit", "used")
 
-    def __init__(self, limit: int = DEFAULT_NODE_BUDGET):
+    def __init__(self, limit: int | None = None):
+        if limit is None:
+            limit = DEFAULT_NODE_BUDGET
+        elif limit < 1:
+            raise ValidationError(f"node budget {limit} is below 1")
         self.limit = limit
         self.used = 0
 
@@ -116,6 +125,9 @@ class Family:
     __slots__ = ()
     hereditary = False
 
+    def __setattr__(self, *a):
+        raise AttributeError("Family is immutable")
+
     # immutable slot classes need explicit pickle support
     def __getstate__(self):
         state = {}
@@ -164,10 +176,6 @@ class Family:
 
     def contains(self, g: Graph, budget: Budget | None = None) -> bool:
         return self.membership(g, budget).member
-
-
-def is_member(g: Graph, f: Family, budget: Budget | None = None) -> MembershipResult:
-    return f.membership(g, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +270,6 @@ class Forb(Family):
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "_pattern_reps", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     def key(self):
         return ("forb",) + tuple((p.n, p.rows) for p in self.patterns)
 
@@ -295,7 +300,8 @@ class Forb(Family):
             for idx, p in enumerate(self.patterns):
                 for pv in self._anchored_reps()[idx]:
                     budget.spend(g.n + 1)
-                    eta = _find_embedding_anchored(p, g, pv, anchor)
+                    order = [pv] + [v for v in range(p.n) if v != pv]
+                    eta = _embed(p.rows, g, order, pin=anchor)
                     if eta is not None:
                         return False, ("pattern", idx, eta)
             return True, None
@@ -305,42 +311,6 @@ class Forb(Family):
             if eta is not None:
                 return False, ("pattern", idx, eta)
         return True, None
-
-
-def _find_embedding_anchored(pattern, host, pv, hv):
-    """Induced embedding with pattern vertex pv pinned to host vertex hv."""
-    k, n = pattern.n, host.n
-    if k > n:
-        return None
-    pdeg = pattern.degrees()
-    hdeg = host.degrees()
-    if hdeg[hv] < pdeg[pv]:
-        return None
-    prow, hrow = pattern.rows, host.rows
-    order = [pv] + [v for v in range(k) if v != pv]
-    eta = [0] * k
-
-    def extend(i, used):
-        if i == k:
-            return True
-        v = order[i]
-        for c in range(n):
-            if used >> c & 1 or hdeg[c] < pdeg[v]:
-                continue
-            ok = True
-            for j in range(i):
-                w = order[j]
-                if (prow[v] >> w & 1) != (hrow[c] >> eta[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                eta[v] = c
-                if extend(i + 1, used | 1 << c):
-                    return True
-        return False
-
-    eta[pv] = hv
-    return tuple(eta) if extend(1, 1 << hv) else None
 
 
 class ForbBigraph(Family):
@@ -355,9 +325,6 @@ class ForbBigraph(Family):
         if not patterns or any(not isinstance(p, Bigraph) for p in patterns):
             raise ValidationError("forb_bigraph needs Bigraph patterns")
         object.__setattr__(self, "patterns", patterns)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
 
     def key(self):
         return ("forbB",) + tuple((p.a, p.b, p.cross) for p in self.patterns)
@@ -392,9 +359,6 @@ class HST(Family):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     def key(self):
         return ("H", self.s, self.t)
 
@@ -424,19 +388,12 @@ class HST(Family):
             got, cert = HST(t, s)._decide(complement(g), budget, False)
             if not got:
                 return False, None
-            masks = [_mask_from(p) for p in cert.parts]
+            masks = [mask_of(p) for p in cert.parts]
             return True, _hst_cert(masks[t:] + masks[:t], s, t)
         masks = _hst_backtrack(g, s, t, budget)
         if masks is None:
             return False, None
         return True, _hst_cert(masks, s, t)
-
-
-def _mask_from(part):
-    m = 0
-    for v in part:
-        m |= 1 << v
-    return m
 
 
 def _hst_cert(masks, s, t):
@@ -527,9 +484,6 @@ class PartitionProduct(Family):
             raise ValidationError("P factors must be families")
         object.__setattr__(self, "factors", factors)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     @property
     def hereditary(self):
         return all(f.hereditary for f in self.factors)
@@ -609,9 +563,6 @@ class Iota(Family):
             raise ValidationError("iota takes a graph")
         object.__setattr__(self, "host", host)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     def key(self):
         return ("iota", self.host.n, self.host.rows)
 
@@ -642,9 +593,6 @@ class Apex(Family):
         if _contains_apex(base):
             raise ValidationError("apex cannot be nested")
         object.__setattr__(self, "base", base)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
 
     def key(self):
         return ("apex", self.base.key())
@@ -684,9 +632,6 @@ class ComplementFamily(Family):
             raise ValidationError("co takes a family")
         object.__setattr__(self, "base", base)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     @property
     def hereditary(self):
         return self.base.hereditary
@@ -717,9 +662,6 @@ class DisjointUnionFam(Family):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     @property
     def hereditary(self):
         return self.left.hereditary and self.right.hereditary
@@ -745,9 +687,6 @@ class JoinFam(Family):
             raise ValidationError("join takes two families")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
 
     @property
     def hereditary(self):
@@ -793,9 +732,6 @@ class UnionFam(Family):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     @property
     def hereditary(self):
         return self.left.hereditary and self.right.hereditary
@@ -825,9 +761,6 @@ class IntersectionFam(Family):
     def __init__(self, left, right):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
 
     @property
     def hereditary(self):

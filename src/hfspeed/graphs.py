@@ -5,6 +5,10 @@ bit u is set iff uv is an edge, so adjacency tests, neighbourhood
 intersections and subset logic are single int operations.  The hard cap of
 64 vertices keeps rows word-sized; everything at desk scale (n <= 16 for
 enumeration) is far below it.
+
+Every induced-embedding search in the package (forbidden patterns, pinned
+or not, bigraphs, iota, and the core embeddings of P(J) and templates)
+runs on the one backtrack _embed below.
 """
 
 from __future__ import annotations
@@ -253,41 +257,79 @@ def copies(k: int, g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # induced embeddings
 
+def _embed(prow, host: Graph, order, pin=None, check=None, budget=None,
+           accept=None):
+    """The one induced-embedding backtrack.
+
+    Maps the pattern vertices of `order`, in that order, injectively into
+    host so that each constrained pair is an edge exactly when it is one
+    in the pattern rows prow.  check[v], when given, masks the pattern
+    vertices whose pairs with v are constrained (bigraphs leave
+    within-side pairs free); otherwise every pair is.  pin fixes the host
+    vertex of order[0].  Candidates are tried in increasing order, so the
+    first witness is the lexicographically least; a candidate needs host
+    degree at least its pattern degree among `order`.  With a budget, one
+    node is spent per unused candidate passing that filter, before the
+    adjacency test.
+
+    eta[v] is the image of pattern vertex v (entries outside `order` are
+    unused).  A complete eta goes to accept, whose first non-None answer
+    ends the search; without accept that answer is tuple(eta).  Returns
+    None when nothing is accepted.
+    """
+    k, n = len(order), host.n
+    if k > n:
+        return None
+    hrow, hdeg = host.rows, host.degrees()
+    placed = mask_of(order)
+    eta = [0] * len(prow)
+    full = (1 << n) - 1
+
+    def extend(i, used):
+        if i == k:
+            return tuple(eta) if accept is None else accept(eta)
+        v = order[i]
+        row = prow[v]
+        need = (row & placed).bit_count()
+        cmask = -1 if check is None else check[v]
+        free = fits = full & ~used
+        for j in range(i):
+            w = order[j]
+            if cmask >> w & 1:
+                fits &= hrow[eta[w]] if row >> w & 1 else ~hrow[eta[w]]
+        scan = fits if budget is None else free
+        while scan:
+            b = scan & -scan
+            scan ^= b
+            c = b.bit_length() - 1
+            if hdeg[c] < need:
+                continue
+            if budget is not None:
+                budget.spend()
+                if not fits & b:
+                    continue
+            eta[v] = c
+            got = extend(i + 1, used | b)
+            if got is not None:
+                return got
+        return None
+
+    if pin is None:
+        return extend(0, 0)
+    if hdeg[pin] < (prow[order[0]] & placed).bit_count():
+        return None
+    eta[order[0]] = pin
+    return extend(1, 1 << pin)
+
+
 def find_induced_embedding(pattern: Graph, host: Graph):
     """First injective map eta with host[eta(V)] inducing exactly pattern.
 
     Pattern vertices are assigned in label order, candidates are tried in
     increasing order, so the witness is the lexicographically least one.
-    Candidates are prefiltered by degree (an induced image of a degree-d
-    vertex has host degree >= d).  Returns a tuple, or None.
+    Returns a tuple, or None.
     """
-    k, n = pattern.n, host.n
-    if k > n:
-        return None
-    pdeg = pattern.degrees()
-    hdeg = host.degrees()
-    prow, hrow = pattern.rows, host.rows
-    eta = [0] * k
-    used = 0
-
-    def extend(i, used):
-        if i == k:
-            return True
-        for c in range(n):
-            if used >> c & 1 or hdeg[c] < pdeg[i]:
-                continue
-            ok = True
-            for j in range(i):
-                if (prow[i] >> j & 1) != (hrow[c] >> eta[j] & 1):
-                    ok = False
-                    break
-            if ok:
-                eta[i] = c
-                if extend(i + 1, used | 1 << c):
-                    return True
-        return False
-
-    return tuple(eta) if extend(0, used) else None
+    return _embed(pattern.rows, host, range(pattern.n))
 
 
 def contains_induced(host: Graph, pattern: Graph) -> bool:
@@ -353,49 +395,13 @@ def find_bigraph_embedding(pattern: Bigraph, host: Graph):
     first-witness order as in find_induced_embedding.  Returns a pair of
     tuples (A-images, B-images), or None.
     """
-    a, b, n = pattern.a, pattern.b, host.n
-    if a + b > n:
-        return None
-    hdeg = host.degrees()
-    adeg = [pattern.cross[i].bit_count() for i in range(a)]
-    bdeg = [sum(pattern.cross[i] >> j & 1 for i in range(a)) for j in range(b)]
-    hrow = host.rows
-    amap = [0] * a
-    bmap = [0] * b
-
-    def extend_b(j, used):
-        if j == b:
-            return True
-        for c in range(n):
-            if used >> c & 1 or hdeg[c] < bdeg[j]:
-                continue
-            ok = True
-            for i in range(a):
-                if (pattern.cross[i] >> j & 1) != (hrow[c] >> amap[i] & 1):
-                    ok = False
-                    break
-            if ok:
-                bmap[j] = c
-                if extend_b(j + 1, used | 1 << c):
-                    return True
-        return False
-
-    def extend_a(i, used):
-        if i == a:
-            return extend_b(0, used)
-        for c in range(n):
-            if used >> c & 1 or hdeg[c] < adeg[i]:
-                continue
-            amap[i] = c
-            if extend_a(i + 1, used | 1 << c):
-                return True
-        return False
-
-    return (tuple(amap), tuple(bmap)) if extend_a(0, 0) else None
-
-
-def contains_bigraph(host: Graph, pattern: Bigraph) -> bool:
-    return find_bigraph_embedding(pattern, host) is not None
+    a, b = pattern.a, pattern.b
+    rows = [c << a for c in pattern.cross]
+    rows += [mask_of(i for i in range(a) if pattern.cross[i] >> j & 1)
+             for j in range(b)]
+    check = [((1 << b) - 1) << a] * a + [(1 << a) - 1] * b
+    eta = _embed(rows, host, range(a + b), check=check)
+    return None if eta is None else (eta[:a], eta[a:])
 
 
 # ---------------------------------------------------------------------------

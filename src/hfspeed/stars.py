@@ -11,7 +11,10 @@ lies in P(J) iff some subset W of the core embeds into g and the rest of
 g splits into crowns satisfying the alpha/beta conditions restricted to
 g.  Everything a host adds outside g (missing core vertices, crown
 padding) can be wired freely, so the restricted conditions are exact;
-see is_member_PJ for the two-directional argument.
+see is_member_PJ for the two-directional argument.  The core subset is
+embedded by the induced-embedding kernel of hfspeed.graphs and the rest
+split by one crown assignment (_assign_crowns); find_template is the same
+search with W = V(J).
 
 The crown definition quantifies over every vertex, including crown
 vertices themselves; for those the "adjacent to all" branch is read as
@@ -28,12 +31,8 @@ from itertools import combinations, combinations_with_replacement
 from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult
-from .graphs import Graph, bits, delete_vertex, mask_of
+from .graphs import Graph, _embed, bits, delete_vertex, mask_of
 from . import graph6
-
-
-def _budget(limit):
-    return Budget(limit) if limit else Budget()
 
 
 # ---------------------------------------------------------------------------
@@ -264,21 +263,10 @@ class Constellation:
         Isomorphisms of the colored gadget are exactly the equivalence
         moves: J-isomorphism respecting alpha and fibers plus part
         permutations preserving beta."""
-        k, l = self.j.n, self.l
-        rows = list(self.j.rows) + [0] * l
-        for v in range(k):
-            a = k + self.phi[v]
-            rows[v] |= 1 << a
-            rows[a] |= 1 << v
-        gadget = Graph.from_rows(rows)
-        groups = [0, 0, 0, 0]  # anchors beta 0/1, cores alpha 0/1
-        for i in range(l):
-            groups[self.beta[i]] |= 1 << (k + i)
-        for v in range(k):
-            groups[2 + self.alpha[v]] |= 1 << v
-        cells = [m for m in groups if m]
+        cf, groups = _gadget_form(self.j.rows, self.phi, self.alpha,
+                                  self.beta)
         sizes = tuple(m.bit_count() for m in groups)
-        return (k, l, sizes, canonical_form(gadget, cells).canon.rows)
+        return (self.j.n, self.l, sizes, cf.canon.rows)
 
     def __eq__(self, other):
         return (isinstance(other, Constellation) and self.j == other.j
@@ -407,93 +395,103 @@ def verify_template(g: Graph, c, t: Template) -> bool:
 def find_template(g: Graph, c, budget_limit: int | None = None):
     """First template of the constellation in g, or None.
 
-    Backtracking in two stages: embed J (vertices in label order,
-    candidate hosts ascending, degree-prefiltered), then assign the
-    remaining vertices to parts in label order.  Parts with no core and
-    equal beta are interchangeable while empty, so only the first such
-    part is tried.  The returned template has been re-verified.
+    The P(J) search with the whole core as W: embed J (vertices in label
+    order, candidate hosts ascending, degree-prefiltered), then assign
+    the remaining vertices to parts in label order (see _assign_crowns).
+    The returned template has been re-verified.
     """
     c = _as_constellation(c)
-    budget = _budget(budget_limit)
-    k, l, n = c.j.n, c.l, g.n
-    if k > n:
+    hit = _pj_search(g, c, [range(c.j.n)], Budget(budget_limit))
+    if hit is None:
         return None
-    jrow, grow = c.j.rows, g.rows
-    jdeg, gdeg = c.j.degrees(), g.degrees()
-    fibers = [c.fiber(i) for i in range(l)]
-    psi = [0] * k
-
-    def assign_rest(used):
-        rest = [w for w in range(n) if not used >> w & 1]
-        allowed = []
-        for w in rest:
-            m = 0
-            for i in range(l):
-                if all((grow[w] >> psi[v] & 1) == c.alpha[v] for v in fibers[i]):
-                    m |= 1 << i
-            if not m:
-                return None
-            allowed.append(m)
-        crowns = [0] * l
-
-        def rec(idx):
-            budget.spend()
-            if idx == len(rest):
-                return True
-            w = rest[idx]
-            b = 1 << w
-            tried_empty = 0
-            for i in range(l):
-                if not allowed[idx] >> i & 1:
-                    continue
-                crown = crowns[i]
-                if not crown and not fibers[i]:
-                    tb = 1 << c.beta[i]
-                    if tried_empty & tb:
-                        continue
-                    tried_empty |= tb
-                if c.beta[i]:
-                    if grow[w] & crown != crown:
-                        continue
-                elif grow[w] & crown:
-                    continue
-                crowns[i] |= b
-                if rec(idx + 1):
-                    return True
-                crowns[i] ^= b
-            return False
-
-        if not rec(0):
-            return None
-        parts = []
-        for i in range(l):
-            m = crowns[i] | mask_of(psi[v] for v in fibers[i])
-            parts.append(tuple(bits(m)))
-        return Template(psi, parts)
-
-    def embed(i, used):
-        if i == k:
-            return assign_rest(used)
-        for cand in range(n):
-            if used >> cand & 1 or gdeg[cand] < jdeg[i]:
-                continue
-            budget.spend()
-            if all((jrow[i] >> v & 1) == (grow[cand] >> psi[v] & 1)
-                   for v in range(i)):
-                psi[i] = cand
-                got = embed(i + 1, used | 1 << cand)
-                if got is not None:
-                    return got
-        return None
-
-    t = embed(0, 0)
-    if t is not None and not verify_template(g, c, t):
+    pairs, crowns = hit
+    psi = [w for _, w in pairs]
+    parts = [tuple(bits(crowns[i] | mask_of(psi[v] for v in c.fiber(i))))
+             for i in range(c.l)]
+    t = Template(psi, parts)
+    if not verify_template(g, c, t):
         raise RuntimeError("found template failed re-verification")
     return t
 
 
 # ---------------------------------------------------------------------------
 # P(J) membership
+
+def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
+    """Crown masks, one per part, for the vertices of g outside the core
+    images, or None.
+
+    pairs lists (core vertex, g vertex) for the embedded part of the
+    core.  A vertex may join part i only if it meets every embedded core
+    vertex of fiber i as alpha says.  Vertices are assigned in label
+    order and each crown stays a clique or an independent set per beta.
+    Parts with no embedded core and equal beta are interchangeable while
+    empty, so only the first such part is tried.  One budget node is
+    spent per recursion step.
+    """
+    l, grow = c.l, g.rows
+    by_part = [[] for _ in range(l)]
+    image = 0
+    for v, w in pairs:
+        by_part[c.phi[v]].append((w, c.alpha[v]))
+        image |= 1 << w
+    rest = [w for w in range(g.n) if not image >> w & 1]
+    allowed = []
+    for w in rest:
+        m = 0
+        for i in range(l):
+            if all((grow[w] >> sv & 1) == a for sv, a in by_part[i]):
+                m |= 1 << i
+        if not m:
+            return None
+        allowed.append(m)
+    crowns = [0] * l
+
+    def rec(idx):
+        budget.spend()
+        if idx == len(rest):
+            return True
+        w = rest[idx]
+        b = 1 << w
+        tried_empty = 0
+        for i in range(l):
+            if not allowed[idx] >> i & 1:
+                continue
+            crown = crowns[i]
+            if not crown and not by_part[i]:
+                tb = 1 << c.beta[i]
+                if tried_empty & tb:
+                    continue
+                tried_empty |= tb
+            if c.beta[i]:
+                if grow[w] & crown != crown:
+                    continue
+            elif grow[w] & crown:
+                continue
+            crowns[i] |= b
+            if rec(idx + 1):
+                return True
+            crowns[i] ^= b
+        return False
+
+    return crowns if rec(0) else None
+
+
+def _pj_search(g: Graph, c: Constellation, wsets, budget: Budget):
+    """First (core_pairs, crowns) over the core subsets W in wsets, taken
+    in order: an induced embedding of J[W] into g, in lex order, whose
+    crown assignment succeeds.  None when there is none."""
+    for wset in wsets:
+        def accept(eta, wset=wset):
+            pairs = tuple((v, eta[v]) for v in wset)
+            crowns = _assign_crowns(g, c, pairs, budget)
+            return None if crowns is None else (pairs, crowns)
+
+        hit = _embed(c.j.rows, g, wset, budget=budget, accept=accept)
+        if hit is not None:
+            return hit
+    return None
+
 
 def _pj_decide(g: Graph, c: Constellation, budget: Budget):
     """Certificate ("pj", core_pairs, part_of) or None.
@@ -516,90 +514,19 @@ def _pj_decide(g: Graph, c: Constellation, budget: Budget):
             for w in res.certificate.parts[pos]:
                 part_of[w] = i
         return ("pj", (), tuple(part_of))
-
-    jrow, grow = c.j.rows, g.rows
-
-    def color_rest(wset, sigma):
-        image = mask_of(sigma)
-        by_part = [[] for _ in range(l)]
-        for pos, v in enumerate(wset):
-            by_part[c.phi[v]].append((sigma[pos], c.alpha[v]))
-        rest = [w for w in range(n) if not image >> w & 1]
-        allowed = []
-        for w in rest:
-            m = 0
-            for i in range(l):
-                if all((grow[w] >> sv & 1) == a for sv, a in by_part[i]):
-                    m |= 1 << i
-            if not m:
-                return None
-            allowed.append(m)
-        crowns = [0] * l
-
-        def rec(idx):
-            budget.spend()
-            if idx == len(rest):
-                return True
-            w = rest[idx]
-            b = 1 << w
-            tried_empty = 0
-            for i in range(l):
-                if not allowed[idx] >> i & 1:
-                    continue
-                crown = crowns[i]
-                if not crown and not by_part[i]:
-                    tb = 1 << c.beta[i]
-                    if tried_empty & tb:
-                        continue
-                    tried_empty |= tb
-                if c.beta[i]:
-                    if grow[w] & crown != crown:
-                        continue
-                elif grow[w] & crown:
-                    continue
-                crowns[i] |= b
-                if rec(idx + 1):
-                    return True
-                crowns[i] ^= b
-            return False
-
-        if not rec(0):
-            return None
-        part_of = [0] * n
-        for i in range(l):
-            for w in bits(crowns[i]):
-                part_of[w] = i
-        for pos, v in enumerate(wset):
-            part_of[sigma[pos]] = c.phi[v]
-        return tuple(part_of)
-
-    gdeg = g.degrees()
-    for size in range(min(k, n) + 1):
-        for wset in combinations(range(k), size):
-            wdeg = [sum(jrow[v] >> u & 1 for u in wset) for v in wset]
-            sigma = [0] * size
-
-            def embed(i, used):
-                if i == size:
-                    return color_rest(wset, sigma)
-                v = wset[i]
-                for cand in range(n):
-                    if used >> cand & 1 or gdeg[cand] < wdeg[i]:
-                        continue
-                    budget.spend()
-                    if all((jrow[v] >> wset[p] & 1) == (grow[cand] >> sigma[p] & 1)
-                           for p in range(i)):
-                        sigma[i] = cand
-                        got = embed(i + 1, used | 1 << cand)
-                        if got is not None:
-                            return got
-                return None
-
-            part_of = embed(0, 0)
-            if part_of is not None:
-                pairs = tuple(zip(wset, sigma))
-                return ("pj", pairs, part_of)
-    return None
+    wsets = (wset for size in range(min(k, n) + 1)
+             for wset in combinations(range(k), size))
+    hit = _pj_search(g, c, wsets, budget)
+    if hit is None:
+        return None
+    pairs, crowns = hit
+    part_of = [0] * n
+    for i in range(l):
+        for w in bits(crowns[i]):
+            part_of[w] = i
+    for v, w in pairs:
+        part_of[w] = c.phi[v]
+    return ("pj", pairs, tuple(part_of))
 
 
 def is_member_PJ(g: Graph, c, budget_limit: int | None = None) -> MembershipResult:
@@ -617,10 +544,9 @@ def is_member_PJ(g: Graph, c, budget_limit: int | None = None) -> MembershipResu
     verify_pj_certificate, which rebuilds that host.
     """
     c = _as_constellation(c)
-    budget = _budget(budget_limit)
-    start = budget.used
+    budget = Budget(budget_limit)
     cert = _pj_decide(g, c, budget)
-    return MembershipResult(cert is not None, cert, budget.used - start, c, g)
+    return MembershipResult(cert is not None, cert, budget.used, c, g)
 
 
 def verify_pj_certificate(g: Graph, c, cert) -> bool:
@@ -690,9 +616,6 @@ class PJFamily(Family):
     def __init__(self, c):
         object.__setattr__(self, "constellation", _as_constellation(c))
 
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
-
     def key(self):
         c = self.constellation
         return ("pj", c.j.n, c.j.rows, c.phi, c.alpha, c.beta)
@@ -714,24 +637,29 @@ class PJFamily(Family):
 
 def irreducible_star_systems(s: int) -> list[StarSystem]:
     """All irreducible systems with core at most s, one per isomorphism
-    class (alpha-respecting, beta-exact), sorted by canonical key."""
+    class (alpha-respecting, beta-exact), sorted by canonical key.
+
+    Each class is represented by its least alpha mask over the canonical
+    J, the first one a scan of every alpha would meet.
+    """
     if s < 0:
         raise ValidationError("s must be >= 0")
     if s > 6:
         raise CapacityError("star system generation is guarded at s <= 6")
     from .enumeration import enumerate_family
     table = enumerate_family(ALL, s, keep_members=True)
-    out = {}
+    out = []
     for size in range(s + 1):
         for j in table.members[size]:
-            for abits in range(1 << size):
+            # alpha up to Aut(J); distinct J are never isomorphic
+            gens = canonical_form(j).generators
+            for abits in subset_orbit_reps(size, gens):
                 alpha = tuple(abits >> v & 1 for v in range(size))
                 for beta in (0, 1):
                     sys = StarSystem(j, alpha, beta)
-                    if not star_system_irreducible(sys):
-                        continue
-                    out.setdefault(sys.canonical_key(), sys)
-    return [out[k] for k in sorted(out)]
+                    if star_system_irreducible(sys):
+                        out.append(sys)
+    return sorted(out, key=StarSystem.canonical_key)
 
 
 def generate_constellations(l: int, s: int) -> list[Constellation]:
@@ -802,20 +730,31 @@ def _assembly_generators(base, phi, alpha, beta, total, l):
     to core vertices: the colored-gadget group, so exactly fiber-block
     permutations between identical systems composed with internal
     alpha-preserving automorphisms."""
-    rows = list(base) + [0] * l
-    for v in range(total):
-        a = total + phi[v]
+    cf, _ = _gadget_form(base, phi, alpha, beta)
+    return [p[:total] for p in cf.generators]
+
+
+def _gadget_form(jrows, phi, alpha, beta):
+    """Canonical form of the colored gadget and its four color cells.
+
+    The gadget is J plus one anchor per part, each core vertex tied to its
+    fiber's anchor; the cells are the anchors of beta 0 and 1, then the
+    core vertices of alpha 0 and 1 (empty cells are left out of the
+    refinement but kept in the returned list).
+    """
+    k, l = len(jrows), len(beta)
+    rows = list(jrows) + [0] * l
+    for v in range(k):
+        a = k + phi[v]
         rows[v] |= 1 << a
         rows[a] |= 1 << v
-    gadget = Graph.from_rows(rows)
     groups = [0, 0, 0, 0]
     for i in range(l):
-        groups[beta[i]] |= 1 << (total + i)
-    for v in range(total):
+        groups[beta[i]] |= 1 << (k + i)
+    for v in range(k):
         groups[2 + alpha[v]] |= 1 << v
     cells = [m for m in groups if m]
-    gens = canonical_form(gadget, cells).generators
-    return [p[:total] for p in gens]
+    return canonical_form(Graph.from_rows(rows), cells), groups
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,6 @@ from .graphs import (
 from .enumeration import SpeedTable, enumerate_family
 
 
-def _budget(limit):
-    return Budget(limit) if limit else None
-
-
 # ---------------------------------------------------------------------------
 # coloring number
 
@@ -94,7 +90,7 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
         # smallest s with H(s, l-s) inside f, else None
         for s in range(l + 1):
             h = HST(s, l - s)
-            if not any(h.contains(k, _budget(budget_limit))
+            if not any(h.contains(k, Budget(budget_limit))
                        for k in f.patterns):
                 return s
         return None
@@ -115,7 +111,7 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
     for s in range(l + 2):
         h = HST(s, l + 1 - s)
         for idx, k in enumerate(f.patterns):
-            res = h.membership(k, _budget(budget_limit))
+            res = h.membership(k, Budget(budget_limit))
             if res.member:
                 refutations.append((s, idx, res.certificate))
                 break
@@ -172,7 +168,7 @@ def is_reduced(h: Graph, f: Family, l: int,
         prod = reduced_product(h, s, l - 1)
         hit = None
         for idx, k in enumerate(f.patterns):
-            res = prod.membership(k, _budget(budget_limit))
+            res = prod.membership(k, Budget(budget_limit))
             if res.member:
                 hit = (s, idx, res.certificate)
                 break
@@ -200,9 +196,6 @@ class ReducedFamily(Family):
             raise ValidationError("red() needs l >= 1")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "l", l)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Family is immutable")
 
     def key(self):
         return ("red", self.base.key(), self.l)
@@ -291,7 +284,7 @@ def is_apex_free(f: Family, l: int,
         hit = None
         for idx, k in enumerate(f.patterns):
             for u in range(k.n):
-                res = h.membership(delete_vertex(k, u), _budget(budget_limit))
+                res = h.membership(delete_vertex(k, u), Budget(budget_limit))
                 if res.member:
                     hit = (s, idx, u, res.certificate)
                     break
@@ -341,11 +334,11 @@ def is_meager(f: Family, cap: int = 8,
     for total in range(cap + 1):
         for j in range(total + 1):
             g = substar(j, total - j)
-            if sub_w is None and not f.contains(g, _budget(budget_limit)):
+            if sub_w is None and not f.contains(g, Budget(budget_limit)):
                 sub_w = g
             if anti_w is None:
                 cg = complement(g)
-                if not f.contains(cg, _budget(budget_limit)):
+                if not f.contains(cg, Budget(budget_limit)):
                     anti_w = cg
             if sub_w is not None and anti_w is not None:
                 return MeagerResult(True, cap, sub_w, anti_w)
@@ -384,7 +377,7 @@ def is_extendable_upto(f: Family, n_check: int,
     table = enumerate_family(f, n_check - 1, budget_limit=budget_limit)
     for n in range(n_check):
         for g in table.members[n]:
-            if not any(f.contains(add_vertex(g, sub), _budget(budget_limit))
+            if not any(f.contains(add_vertex(g, sub), Budget(budget_limit))
                        for sub in range(1 << g.n)):
                 return ExtendableResult(False, g, n_check)
     return ExtendableResult(True, None, n_check)

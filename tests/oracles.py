@@ -191,3 +191,24 @@ def bfs_subset_orbit_reps(n, generators, masks=None):
         seen |= orbit
         reps.append(min(orbit))
     return sorted(reps)
+
+
+def brute_first_embedding(pattern, host, pin=None, side=None):
+    """The first image tuple in itertools.permutations order, which is the
+    lexicographically least witness, under which host induces pattern.
+
+    image[v] is the host vertex of pattern vertex v.  pin = (v, w) demands
+    image[v] == w.  side, a set of pattern vertices, limits the check to
+    pairs with exactly one end in it (bigraph mode).  None when no image
+    works.
+    """
+    k = pattern.n
+    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)
+             if side is None or (u in side) != (v in side)]
+    for image in permutations(range(host.n), k):
+        if pin is not None and image[pin[0]] != pin[1]:
+            continue
+        if all(host.rows[image[u]] >> image[v] & 1 == pattern.rows[u] >> v & 1
+               for u, v in pairs):
+            return image
+    return None

@@ -255,6 +255,15 @@ class TestExitCodes:
                                     "--n-max", "7", "--budget", "2"])
         assert code == 3 and "budget" in err
 
+    def test_budget_and_threads_below_one(self, capsys):
+        speed = ["speed", "--family", "H(2,0)", "--n-max", "4"]
+        critical = ["critical", "--family", "forb(C5)"]
+        for argv in (speed + ["--budget", "0"], speed + ["--budget", "-1"],
+                     speed + ["--threads", "0"], critical + ["--threads", "0"],
+                     critical + ["--budget", "0"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "" and "error" in err, argv
+
     def test_help(self, capsys):
         assert run(capsys, ["--help"])[0] == 0
         assert run(capsys, ["verify", "--help"])[0] == 0

@@ -17,8 +17,8 @@ from hfspeed.families import (
 from hfspeed.canon import canonical_graph
 from hfspeed.graphs import Graph, complete, cycle, edgeless, matching, path
 from hfspeed.stars import (
-    Constellation, StarSystem, generate_constellations, is_member_PJ,
-    is_s_star,
+    Constellation, PJFamily, StarSystem, generate_constellations,
+    is_member_PJ, is_s_star,
 )
 from hfspeed import graph6
 from oracles import (
@@ -112,6 +112,15 @@ class TestIsCritical:
         assert obj["refutations"][0] == {"tuple": ["M", "C"],
                                          "pattern": "Bw"}
         json.dumps(obj)
+
+    def test_knobs_validated_on_either_side(self):
+        # the non-critical side never enumerates, so it checks threads
+        # itself; a budget below 1 is refused at the first membership call
+        for fam in (FORB_C5, FORB_K3):
+            with pytest.raises(ValidationError):
+                is_critical(fam, threads=0)
+            with pytest.raises(ValidationError):
+                is_critical(fam, budget_limit=0)
 
     def test_repr(self):
         assert "non-critical" in repr(is_critical(FORB_C5))
@@ -321,6 +330,23 @@ class TestVerifyStarSpeed:
         r1 = verify_star_speed(Constellation(K0, (), (), (0,)), 1, 8)
         assert r1.verdicts["drift_bits"] == 0.0
         assert r1.verdicts["window"] == [5, 8]
+
+    def test_empty_core_enumerates_each_family_once(self, monkeypatch):
+        import hfspeed.critical as critical
+        seen = []
+
+        def counting(f, n_max, **kw):
+            seen.append(f.text())
+            return enumerate_family(f, n_max, **kw)
+
+        monkeypatch.setattr(critical, "enumerate_family", counting)
+        r = verify_star_speed(Constellation(K0, (), (), (0, 0)), 2, 6)
+        assert seen == ["H(2, 0)"]
+        split = Constellation(K0, (), (), (0, 1))
+        r = verify_star_speed(split, 2, 6)
+        assert seen[1:] == ["H(1, 1)", "H(2, 0)"]
+        want = enumerate_family(PJFamily(split), 6).labeled
+        assert [row["labeled"] for row in r.rows] == [str(x) for x in want[1:]]
 
     def test_residual_at_one(self):
         r = verify_star_speed(DOM, 1, 6)

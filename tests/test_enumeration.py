@@ -9,6 +9,7 @@ from hfspeed.enumeration import (
 )
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
+    ValidationError,
 )
 from hfspeed.families import (
     ALL, Apex, C, Forb, HST, Iota, M, PartitionProduct, S,
@@ -105,6 +106,12 @@ class TestValidation:
             enumerate_family(S, -1)
         with pytest.raises(CapacityError):
             labeled_count_direct(S, 8)
+
+    def test_knobs_below_one_refused(self):
+        for kw in ({"threads": 0}, {"threads": -3}, {"budget_limit": 0},
+                   {"budget_limit": -1}):
+            with pytest.raises(ValidationError):
+                enumerate_family(S, 3, **kw)
 
     def test_budget_propagates(self):
         with pytest.raises(ResourceLimitError):

@@ -10,10 +10,10 @@ from hfspeed.errors import (
     ResourceLimitError, UnsupportedOperationError, ValidationError,
 )
 from hfspeed.families import (
-    ALL, Apex, Budget, C, ComplementFamily, DisjointUnionFam, Forb,
-    ForbBigraph, HST, IntersectionFam, Iota, JoinFam, M, PartitionCertificate,
-    PartitionProduct, S, UnionFam, family_contains, graph_from_name,
-    graph_name,
+    ALL, DEFAULT_NODE_BUDGET, Apex, Budget, C, ComplementFamily,
+    DisjointUnionFam, Forb, ForbBigraph, HST, IntersectionFam, Iota, JoinFam,
+    M, PartitionCertificate, PartitionProduct, S, UnionFam, family_contains,
+    graph_from_name, graph_name,
 )
 from hfspeed.graphs import (
     Bigraph, Graph, add_vertex, complete, cycle, edgeless, induced_subgraph,
@@ -165,6 +165,13 @@ class TestCertificates:
 
 
 class TestBudget:
+    def test_limit_none_is_default_and_below_one_refused(self):
+        assert Budget().limit == Budget(None).limit == DEFAULT_NODE_BUDGET
+        assert Budget(1).limit == 1
+        for bad in (0, -1):
+            with pytest.raises(ValidationError):
+                Budget(bad)
+
     def test_budget_exhaustion_raises(self):
         g = cycle(9)
         with pytest.raises(ResourceLimitError):

@@ -169,6 +169,29 @@ class TestStarSystems:
         assert len(set(keys)) == 12
         assert [sy.canonical_key() for sy in irreducible_star_systems(2)] == keys
 
+    def test_irreducible_star_systems_key_only_the_classes(self, monkeypatch):
+        # the classes, representatives and order of a scan over every
+        # (J, alpha, beta) deduplicated by canonical key
+        for s in range(5):
+            table = enumerate_family(ALL, s)
+            scan = {}
+            for size in range(s + 1):
+                for j in table.members[size]:
+                    for abits in range(1 << size):
+                        alpha = tuple(abits >> v & 1 for v in range(size))
+                        for beta in (0, 1):
+                            sy = StarSystem(j, alpha, beta)
+                            if star_system_irreducible(sy):
+                                scan.setdefault(sy.canonical_key(), sy)
+            want = [scan[k] for k in sorted(scan)]
+            calls = []
+            key = Constellation.canonical_key
+            monkeypatch.setattr(Constellation, "canonical_key",
+                                lambda c: calls.append(1) or key(c))
+            assert irreducible_star_systems(s) == want
+            assert len(calls) == len(want)
+            monkeypatch.undo()
+
     def test_as_constellation(self):
         c = E2J.as_constellation()
         assert (c.l, c.s) == (1, 2)
