@@ -6,6 +6,19 @@ leaves compared by the packed upper triangle of the relabeled graph, subtree
 pruning via automorphisms discovered at repeated leaves.  The canonical form
 is the least leaf encoding.
 
+Refinement splits cells by bit masks and skips splitters that cannot
+split anything.  A singleton splitter splits each cell with two mask
+operations; a larger splitter's neighbour counts are summed in bit planes
+and cells split plane by plane, which keeps the subcells in ascending
+count order.  Below the root only the two cells made by individualizing a
+vertex are queued: every other cell of the child is a cell of the
+equitable partition just refined, and a cell of an equitable partition
+cannot split any cell of a refinement of it, whenever it is popped.  The
+splitters that remain are popped in the same order as with every cell
+queued, so the ordered partitions, the leaves, the generators and |Aut|
+are the ones that full queueing gives.  A leaf's encoding reads each
+row's later neighbours by their bits rather than testing every pair.
+
 Initial cells are ordered by a cheap vertex invariant (degree, then sorted
 neighbour degrees) ascending, and refinement only ever splits cells in
 place, so the vertex in the highest canonical position always carries the
@@ -46,65 +59,122 @@ class CanonicalForm:
 
 def vertex_invariant(g: Graph):
     """Per-vertex (degree, sorted neighbour degrees); isomorphism-invariant."""
-    deg = g.degrees()
-    return tuple((deg[v], tuple(sorted(deg[u] for u in bits(g.rows[v]))))
-                 for v in range(g.n))
+    rows = g.rows
+    deg = [r.bit_count() for r in rows]
+    out = []
+    for m in rows:
+        nd = []
+        while m:
+            b = m & -m
+            m ^= b
+            nd.append(deg[b.bit_length() - 1])
+        nd.sort()
+        out.append((len(nd), tuple(nd)))
+    return tuple(out)
 
 
-def _refine(rows, cells):
+def _refine(rows, cells, queue=None):
     """Equitable refinement of an ordered partition (list of cell masks).
 
-    Cells split in place into subcells ordered by neighbour count against
-    the splitter, ascending.  The rule is isomorphism-invariant, so two
-    isomorphic colored graphs refine along mirror-image partitions.
+    Splitters are popped from the end of `queue` (all cells by default).
+    Each pop splits every cell in place into subcells ordered by neighbour
+    count against the splitter, ascending, and pushes the subcells in that
+    order.  The rule is isomorphism-invariant, so two isomorphic colored
+    graphs refine along mirror-image partitions.
+
+    Four shortcuts leave that sequence of partitions unchanged:
+    - a singleton splitter {s} splits a cell into its non-neighbours and
+      its neighbours of s (counts 0 and 1) with two mask operations;
+    - a larger splitter's counts are added up in bit planes (ripple carry
+      over masks), and a cell is split by the planes from the most
+      significant down, low half first, which lists the subcells in
+      ascending count order;
+    - below the root, search queues only the two new cells of the child:
+      every other cell belongs to the equitable parent partition, so it
+      splits nothing whenever it would have been popped;
+    - refinement stops once the partition is discrete.
+    The first two make the same splits with fewer operations and the last
+    two skip only pops that split nothing, so the result is the one that
+    queueing every cell and counting vertex by vertex gives.
     """
-    queue = list(cells)
-    while queue:
+    n = len(rows)
+    if queue is None:
+        queue = list(cells)
+    while queue and len(cells) < n:
         splitter = queue.pop()
         newcells = []
-        touched = False
+        if not splitter & (splitter - 1):
+            row = rows[splitter.bit_length() - 1]
+            for cell in cells:
+                hi = cell & row
+                if hi and hi != cell:
+                    lo = cell ^ hi
+                    newcells += (lo, hi)
+                    queue += (lo, hi)
+                else:
+                    newcells.append(cell)
+            cells = newcells
+            continue
+        # planes[i] holds bit i of every vertex's count into the splitter
+        planes = []
+        m = splitter
+        while m:
+            b = m & -m
+            m ^= b
+            carry = rows[b.bit_length() - 1]
+            for i, p in enumerate(planes):
+                planes[i] = p ^ carry
+                carry &= p
+                if not carry:
+                    break
+            else:
+                if carry:
+                    planes.append(carry)
+        planes.reverse()
         for cell in cells:
-            if cell.bit_count() <= 1:
+            for p in planes:
+                hi = cell & p
+                if hi and hi != cell:
+                    break
+            else:
                 newcells.append(cell)
                 continue
-            groups = {}
-            m = cell
-            while m:
-                b = m & -m
-                m ^= b
-                k = (rows[b.bit_length() - 1] & splitter).bit_count()
-                groups[k] = groups.get(k, 0) | b
-            if len(groups) == 1:
-                newcells.append(cell)
-            else:
-                touched = True
-                for k in sorted(groups):
-                    sub = groups[k]
-                    newcells.append(sub)
-                    queue.append(sub)
-        if touched:
-            cells = newcells
+            parts = [cell]
+            for p in planes:
+                split = []
+                for part in parts:
+                    hi = part & p
+                    if hi and hi != part:
+                        split += (part ^ hi, hi)
+                    else:
+                        split.append(part)
+                parts = split
+            newcells += parts
+            queue += parts
+        cells = newcells
     return cells
 
 
-def _perm_from_discrete(cells, n):
-    """labeling[old] = position, for a discrete ordered partition."""
-    lab = [0] * n
-    for pos, cell in enumerate(cells):
-        lab[cell.bit_length() - 1] = pos
-    return tuple(lab)
-
-
-def _encode_by_labeling(rows, n, lab):
-    """Packed upper triangle of the relabeled graph, row-major over positions."""
-    order = [0] * n
-    for v in range(n):
-        order[lab[v]] = v
+def _encode_discrete(rows, cells):
+    """Packed upper triangle of the graph relabeled by a discrete ordered
+    partition, row-major over positions, most significant bit first."""
+    n = len(cells)
+    order = [c.bit_length() - 1 for c in cells]
+    # weight[v]: the bit that v's position takes in a row segment
+    weight = [0] * n
+    for p, v in enumerate(order):
+        weight[v] = 1 << (n - 1 - p)
     enc = 0
-    for p in range(n):
-        rp = rows[order[p]]
-        for q in range(p + 1, n):
-            enc = enc << 1 | (rp >> order[q] & 1)
+    later = (1 << n) - 1
+    for p, v in enumerate(order):
+        later ^= 1 << v
+        m = rows[v] & later
+        seg = 0
+        while m:
+            b = m & -m
+            m ^= b
+            seg |= weight[b.bit_length() - 1]
+        enc = enc << (n - 1 - p) | seg
     return enc
 
 
@@ -141,7 +211,11 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             groups[inv[v]] |= 1 << v
         initial = [groups[k] for k in sorted(groups)]
     else:
-        if sum(c.bit_count() for c in cells) != n:
+        union = 0
+        for c in cells:
+            union |= c
+        if (union != (1 << n) - 1
+                or sum(c.bit_count() for c in cells) != n):
             raise ValueError("initial cells must partition the vertex set")
         initial = []
         for cell in cells:
@@ -154,18 +228,23 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     best = None          # (enc, labeling)
     first = None         # (enc, labeling, path) at the first leaf
     gens = []
+    fixed = []           # fixed[i]: mask of the points gens[i] fixes
 
     def record_aut(lab_a, lab_b):
         # two labelings producing the same labeled graph: a^-1 b is an aut
         sigma = _compose(_inverse(lab_a), lab_b)
-        if any(sigma[i] != i for i in range(n)) and sigma not in gens:
-            gens.append(sigma)
+        if sigma not in gens:
+            fm = 0
+            for i in range(n):
+                if sigma[i] == i:
+                    fm |= 1 << i
+            if fm != (1 << n) - 1:
+                gens.append(sigma)
+                fixed.append(fm)
 
-    def orbit_hit(v, tried, prefix):
+    def orbit_hit(v, tried, pmask):
         # is v in the orbit of a tried vertex under gens fixing the prefix?
-        if not tried or not gens:
-            return False
-        fixers = [p for p in gens if all(p[x] == x for x in prefix)]
+        fixers = [p for p, fm in zip(gens, fixed) if fm & pmask == pmask]
         if not fixers:
             return False
         seen = set(tried)
@@ -181,38 +260,51 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
                     frontier.append(y)
         return v in seen
 
-    def search(cells, prefix):
+    def search(cells, prefix, pmask, queue):
         nonlocal best, first
-        cells = _refine(rows, cells)
-        target = -1
-        for idx, cell in enumerate(cells):
-            if cell.bit_count() > 1:
-                target = idx
-                break
-        if target < 0:
-            lab = _perm_from_discrete(cells, n)
-            enc = _encode_by_labeling(rows, n, lab)
+        cells = _refine(rows, cells, queue)
+        if len(cells) == n:
+            enc = _encode_discrete(rows, cells)
+            if first is not None and enc > best[0] and enc != first[0]:
+                return
+            lab = [0] * n
+            for pos, cell in enumerate(cells):
+                lab[cell.bit_length() - 1] = pos
+            lab = tuple(lab)
             if first is None:
                 first = (enc, lab, prefix)
                 best = (enc, lab)
                 return
+            # best only moves to a smaller leaf, so a leaf equal to the
+            # first one is equal to best only while best is the first
             if enc == first[0]:
                 record_aut(first[1], lab)
-            if enc < best[0]:
+            elif enc < best[0]:
                 best = (enc, lab)
             elif enc == best[0] and lab != best[1]:
                 record_aut(best[1], lab)
             return
+        target = 0
+        while not cells[target] & (cells[target] - 1):
+            target += 1
         cell = cells[target]
+        head = cells[:target]
+        tail = cells[target + 1:]
         tried = []
-        for v in bits(cell):
-            if orbit_hit(v, tried, prefix):
+        m = cell
+        while m:
+            b = m & -m
+            m ^= b
+            v = b.bit_length() - 1
+            if tried and gens and orbit_hit(v, tried, pmask):
                 continue
             tried.append(v)
-            child = cells[:target] + [1 << v, cell ^ (1 << v)] + cells[target + 1:]
-            search(child, prefix + (v,))
+            # every other cell of the child is a cell of the equitable
+            # partition just refined, so it cannot split anything
+            search(head + [b, cell ^ b] + tail, prefix + (v,), pmask | b,
+                   [b, cell ^ b])
 
-    search(initial, ())
+    search(initial, (), 0, None)
     lab = best[1]
     canon = relabel(g, lab)
     return CanonicalForm(canon, lab, _first_path_order(first[2], gens, n),
@@ -327,13 +419,6 @@ def vertex_orbit(v: int, generators, n: int):
                 seen |= 1 << y
                 frontier.append(y)
     return seen
-
-
-def apply_perm_to_mask(mask: int, perm) -> int:
-    out = 0
-    for v in bits(mask):
-        out |= 1 << perm[v]
-    return out
 
 
 def _mask_tables(perm, n):

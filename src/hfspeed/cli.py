@@ -10,8 +10,10 @@ how fast the answer appears, never what it is, so reruns can reuse the
 artifact.  Nothing here emits a timestamp; byte-identical runs are the
 point.
 
-Exit codes: 0 success, 2 parse or validation failure, 3 budget
-exhaustion.
+Exit codes: 0 success, 2 parse or validation failure (a --budget or
+--threads below 1 included, on every subcommand), 3 budget exhaustion.
+The artifact is written to a temporary file and moved into place, so an
+interrupted run leaves no partial artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .canon import canonical_graph
 from .critical import (is_critical, verify_constellation_cover, verify_kpr,
                        verify_partition_fraction, verify_star_speed)
 from .dsl import parse_family
-from .enumeration import enumerate_family
+from .enumeration import _write_atomic, enumerate_family
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .graphs import Graph
@@ -365,6 +367,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
+        for name in ("budget", "threads"):
+            value = getattr(args, name)
+            if value is not None and value < 1:
+                raise ValidationError(f"--{name} must be >= 1, got {value}")
         text, ext, config = _RUNNERS[args.subcommand](args)
     except ResourceLimitError as e:
         print(f"error: {e}", file=sys.stderr)
@@ -376,8 +382,7 @@ def main(argv=None) -> int:
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         path = _artifact_path(args.out, args.subcommand, config, ext)
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_atomic(path, lambda fh: fh.write(text.encode()))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

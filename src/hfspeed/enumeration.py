@@ -129,6 +129,33 @@ def _child_records(family, parents, n, budget_limit):
     return out
 
 
+def _write_atomic(path, write):
+    """Call write(fh) on a temporary file next to path, then move it onto
+    path, so an interrupted write never leaves a partial file there."""
+    tmp = f"{path}.tmp{os.getpid()}"
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
+def _read_checkpoint(path, n):
+    """The (unlabeled, labeled, level) payload of level n, or None when
+    the file is missing, truncated or unreadable: the level is then
+    recomputed."""
+    try:
+        with open(path, "rb") as fh:
+            unlabeled, labeled, level = pickle.load(fh)
+        if len(unlabeled) == len(labeled) == n + 1:
+            return unlabeled, labeled, level
+    except (OSError, EOFError, pickle.UnpicklingError, ValueError, TypeError):
+        pass
+    return None
+
+
 _WORKER_FAMILY = None
 _WORKER_BUDGET = None
 
@@ -156,7 +183,8 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     Checkpoints, when enabled, are keyed by (hash of the format version and
     the structural family key, n) and make reruns resume at the highest
     completed level; a resumed run reads its lower members from the
-    per-level files.
+    per-level files.  Each file is written whole or not at all, and a
+    truncated or unreadable one counts as missing.
     """
     if not f.hereditary:
         raise UnsupportedOperationError(
@@ -176,16 +204,19 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     def ckpt_path(n):
         return os.path.join(checkpoint_dir, f"enum-{ckpt_key}-{n:02d}.pkl")
 
+    def write_ckpt(n):
+        payload = (unlabeled, labeled, level)
+        _write_atomic(ckpt_path(n), lambda fh: pickle.dump(payload, fh))
+
     empty = Graph(0)
     start_n = 0
     level = None
     unlabeled, labeled = [], []
     if ckpt_key:
         for n in range(n_max, -1, -1):
-            p = ckpt_path(n)
-            if os.path.exists(p):
-                with open(p, "rb") as fh:
-                    unlabeled, labeled, level = pickle.load(fh)
+            payload = _read_checkpoint(ckpt_path(n), n)
+            if payload is not None:
+                unlabeled, labeled, level = payload
                 start_n = n
                 break
     if level is None:
@@ -194,18 +225,17 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
         unlabeled = [len(level)]
         labeled = [len(level)]
         if ckpt_key:
-            with open(ckpt_path(0), "wb") as fh:
-                pickle.dump((unlabeled, labeled, level), fh)
+            write_ckpt(0)
 
     members = None
     if keep_members:
         members = [None] * start_n + [[Graph.from_rows(r) for r, _ in level]]
         # a resumed run finds its lower levels in their own checkpoints
         for n in range(start_n):
-            if not os.path.exists(ckpt_path(n)):
+            payload = _read_checkpoint(ckpt_path(n), n)
+            if payload is None:
                 break
-            with open(ckpt_path(n), "rb") as fh:
-                members[n] = [Graph.from_rows(r) for r, _ in pickle.load(fh)[2]]
+            members[n] = [Graph.from_rows(r) for r, _ in payload[2]]
 
     pool = None
     blob = None
@@ -235,8 +265,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             if members is not None:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
             if ckpt_key:
-                with open(ckpt_path(n + 1), "wb") as fh:
-                    pickle.dump((unlabeled, labeled, level), fh)
+                write_ckpt(n + 1)
             if progress is not None:
                 progress(n + 1, len(recs))
     finally:

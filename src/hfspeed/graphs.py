@@ -148,10 +148,12 @@ def join(g: Graph, h: Graph) -> Graph:
 def relabel(g: Graph, perm) -> Graph:
     """Image of g under the permutation perm, with perm[old] = new."""
     rows = [0] * g.n
-    for v in range(g.n):
+    for v, r in enumerate(g.rows):
         m = 0
-        for u in bits(g.rows[v]):
-            m |= 1 << perm[u]
+        while r:
+            b = r & -r
+            r ^= b
+            m |= 1 << perm[b.bit_length() - 1]
         rows[perm[v]] = m
     return Graph.from_rows(rows)
 

@@ -212,3 +212,46 @@ def brute_first_embedding(pattern, host, pin=None, side=None):
                for u, v in pairs):
             return image
     return None
+
+
+def naive_refine(rows, cells):
+    """Equitable refinement counted vertex by vertex, with every cell
+    queued: pop a splitter, group each cell's vertices by their neighbour
+    count against it, replace the cell by its groups in ascending count
+    order and queue them."""
+    queue = list(cells)
+    while queue:
+        splitter = queue.pop()
+        newcells = []
+        touched = False
+        for cell in cells:
+            if cell.bit_count() <= 1:
+                newcells.append(cell)
+                continue
+            groups = {}
+            m = cell
+            while m:
+                b = m & -m
+                m ^= b
+                k = (rows[b.bit_length() - 1] & splitter).bit_count()
+                groups[k] = groups.get(k, 0) | b
+            if len(groups) == 1:
+                newcells.append(cell)
+            else:
+                touched = True
+                for k in sorted(groups):
+                    sub = groups[k]
+                    newcells.append(sub)
+                    queue.append(sub)
+        if touched:
+            cells = newcells
+    return cells
+
+
+def apply_perm_to_mask(mask, perm):
+    """Image of a vertex mask under perm, one bit at a time."""
+    out = 0
+    for v in range(len(perm)):
+        if mask >> v & 1:
+            out |= 1 << perm[v]
+    return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 from itertools import permutations
@@ -8,16 +9,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hfspeed.canon import (
-    apply_perm_to_mask, canonical_form, canonical_graph, group_order,
+    _refine, canonical_form, canonical_graph, group_order,
     subset_orbit_reps, vertex_invariant, vertex_orbit,
 )
+from hfspeed.enumeration import enumerate_family
+from hfspeed.families import ALL
 from hfspeed.graphs import (
-    Graph, bits, complete, complete_bipartite, cycle, edgeless, path,
-    relabel, star,
+    Graph, bits, complement, complete, complete_bipartite, copies, cycle,
+    edgeless, path, relabel, star,
 )
 from oracles import (
-    all_labeled_graphs, bfs_subset_orbit_reps, brute_aut_order,
-    brute_isomorphic,
+    all_labeled_graphs, apply_perm_to_mask, bfs_subset_orbit_reps,
+    brute_aut_order, brute_isomorphic, naive_refine,
 )
 from test_graphs import graphs_strategy
 
@@ -59,8 +62,6 @@ class TestCanonicalForm:
         # |Aut| read off the first path against Schreier-Sims over the same
         # generators and against a full permutation scan, on every class up
         # to n = 7 and on a relabelled copy of each
-        from hfspeed.enumeration import enumerate_family
-        from hfspeed.families import ALL
         rng = random.Random(7)
         table = enumerate_family(ALL, 7)
         for n in range(8):
@@ -154,6 +155,101 @@ class TestColoredCanon:
     def test_bad_cells(self):
         with pytest.raises(ValueError):
             canonical_form(path(3), cells=[0b001])
+
+    def test_overlapping_cells(self):
+        # sizes add up to n, but the cells overlap and miss vertex 2
+        with pytest.raises(ValueError):
+            canonical_form(path(3), cells=[0b011, 0b001])
+
+
+def _random_graph(rng, n):
+    p = rng.random()
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if rng.random() < p])
+
+
+def _random_cells(rng, n):
+    """A seeded random ordered partition of range(n) into nonempty cells."""
+    k = rng.randint(min(1, n), n)
+    color = [rng.randrange(k) for _ in range(n)]
+    return [m for m in (sum(1 << v for v in range(n) if color[v] == c)
+                        for c in range(k)) if m]
+
+
+def _labeling_battery():
+    """Every class to n = 7 plus a relabelled copy of each, 3000 seeded
+    random graphs at n = 8..16, and cycles, complete and edgeless graphs,
+    mK_k and the complements of all of these."""
+    rng = random.Random(2014)
+    graphs = []
+    classes = enumerate_family(ALL, 7).members
+    for n in range(8):
+        for g in classes[n]:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            graphs += [g, relabel(g, perm)]
+    graphs += [_random_graph(rng, rng.randint(8, 16)) for _ in range(3000)]
+    named = [cycle(n) for n in range(3, 17)]
+    named += [complete(n) for n in range(1, 17)]
+    named += [edgeless(n) for n in range(1, 17)]
+    named += [copies(m, complete(k)) for k in range(2, 9)
+              for m in range(2, 16 // k + 1)]
+    return graphs + named + [complement(g) for g in named], rng
+
+
+class TestPinnedLabeling:
+    # recorded before refinement skipped the no-op splitters: the
+    # canonical labeling, |Aut| and the generators must not move
+    PINNED = (5636, "33fcad74909ec9e2")
+
+    def test_pinned_battery(self):
+        graphs, rng = _labeling_battery()
+        h = hashlib.sha256()
+        for g in graphs:
+            for cells in (None, _random_cells(rng, g.n)):
+                cf = canonical_form(g, cells)
+                h.update(repr((cf.canon.rows, cf.labeling, cf.aut_order,
+                               cf.generators)).encode())
+        assert (len(graphs), h.hexdigest()[:16]) == self.PINNED
+
+
+def _is_equitable(rows, cells):
+    return all(len({(rows[v] & other).bit_count() for v in bits(cell)}) == 1
+               for cell in cells for other in cells)
+
+
+class TestRefine:
+    def test_matches_naive_refine(self):
+        rng = random.Random(5)
+        for _ in range(1500):
+            n = rng.randint(1, 12)
+            g = _random_graph(rng, n)
+            cells = _random_cells(rng, n)
+            rng.shuffle(cells)
+            assert _refine(g.rows, cells) == naive_refine(g.rows, cells)
+
+    def test_reduced_queue_below_root(self):
+        # a child partition built from an equitable one refines the same
+        # with only the two new cells queued as with every cell queued
+        rng = random.Random(6)
+        checked = 0
+        for _ in range(3000):
+            n = rng.randint(2, 12)
+            g = _random_graph(rng, n)
+            cells = _refine(g.rows, _random_cells(rng, n))
+            assert _is_equitable(g.rows, cells)
+            targets = [i for i, c in enumerate(cells) if c & (c - 1)]
+            if not targets:
+                continue
+            t = rng.choice(targets)
+            v = rng.choice(list(bits(cells[t])))
+            new = [1 << v, cells[t] ^ 1 << v]
+            child = cells[:t] + new + cells[t + 1:]
+            got = _refine(g.rows, child, list(new))
+            assert got == _refine(g.rows, child) == naive_refine(g.rows, child)
+            assert _is_equitable(g.rows, got)
+            checked += 1
+        assert checked > 1000
 
 
 class TestGroupOrder:

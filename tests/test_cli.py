@@ -255,14 +255,44 @@ class TestExitCodes:
                                     "--n-max", "7", "--budget", "2"])
         assert code == 3 and "budget" in err
 
-    def test_budget_and_threads_below_one(self, capsys):
-        speed = ["speed", "--family", "H(2,0)", "--n-max", "4"]
-        critical = ["critical", "--family", "forb(C5)"]
-        for argv in (speed + ["--budget", "0"], speed + ["--budget", "-1"],
-                     speed + ["--threads", "0"], critical + ["--threads", "0"],
-                     critical + ["--budget", "0"]):
-            code, out, err = run(capsys, argv)
-            assert code == 2 and out == "" and "error" in err, argv
+    def test_budget_and_threads_below_one(self, capsys, tmp_path):
+        # every subcommand takes both options, so every one refuses them,
+        # whether or not its library call reads them
+        valid = [
+            ["speed", "--family", "H(2,0)", "--n-max", "4"],
+            ["chi-c", "--family", "forb(K3)"],
+            ["classify", "--family", "forb(K3)", "Bw"],
+            ["stars", "--s", "0", "--n-max", "4"],
+            ["constellations", "--l", "1", "--s", "0"],
+            ["critical", "--family", "forb(C5)"],
+            ["verify", "--experiment", "kpr", "--l", "2", "--n-max", "4"],
+            ["graph6", "decode", "Bw"],
+        ]
+        for base in valid:
+            assert run(capsys, base)[0] == 0, base
+            for bad in (["--budget", "0"], ["--budget", "-5"],
+                        ["--threads", "0"], ["--threads", "-1"]):
+                argv = base + bad + ["--out", str(tmp_path)]
+                code, out, err = run(capsys, argv)
+                assert code == 2 and out == "", argv
+                assert err.startswith("error:"), argv
+        assert os.listdir(tmp_path) == []
+
+    def test_artifact_write_is_atomic(self, tmp_path):
+        # a write that fails part way leaves nothing under the final name
+        from hfspeed.enumeration import _write_atomic
+        path = str(tmp_path / "artifact.json")
+
+        def partial(fh):
+            fh.write(b"{\n  \"half")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            _write_atomic(path, partial)
+        assert os.listdir(tmp_path) == []
+        _write_atomic(path, lambda fh: fh.write(b"whole\n"))
+        assert os.listdir(tmp_path) == ["artifact.json"]
+        assert (tmp_path / "artifact.json").read_bytes() == b"whole\n"
 
     def test_help(self, capsys):
         assert run(capsys, ["--help"])[0] == 0

@@ -1,4 +1,5 @@
 import math
+import os
 
 import pytest
 
@@ -185,6 +186,54 @@ class TestCheckpoints:
         t = enumerate_family(fam, 7, checkpoint_dir=ck)
         assert levels == [5, 6]
         assert [len(m) for m in t.members] == TRIANGLE_FREE[:8]
+
+
+    def test_interrupted_checkpoint_write_leaves_no_file(
+            self, tmp_path, monkeypatch):
+        import pickle
+        fam = Forb([complete(3)])
+        ck = str(tmp_path)
+        real = pickle.dump
+        calls = []
+
+        def dump_then_fail(obj, fh):
+            calls.append(1)
+            if len(calls) < 4:
+                return real(obj, fh)
+            fh.write(pickle.dumps(obj)[:20])
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(pickle, "dump", dump_then_fail)
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_family(fam, 5, checkpoint_dir=ck)
+        monkeypatch.setattr(pickle, "dump", real)
+        # levels 0..2 were written whole; level 3 left nothing behind
+        names = sorted(os.listdir(ck))
+        assert [name[-6:] for name in names] == ["00.pkl", "01.pkl", "02.pkl"]
+        t = enumerate_family(fam, 5, checkpoint_dir=ck)
+        assert t.unlabeled == TRIANGLE_FREE[:6]
+
+    def test_truncated_checkpoint_counts_as_missing(self, tmp_path):
+        fam = Forb([complete(3)])
+        ck = str(tmp_path)
+        fresh = enumerate_family(fam, 6)
+        enumerate_family(fam, 6, checkpoint_dir=ck)
+        names = sorted(os.listdir(ck))
+        top = os.path.join(ck, names[-1])
+        lower = os.path.join(ck, names[3])
+        with open(top, "rb") as fh:
+            whole = fh.read()
+        for path in (top, lower):
+            with open(path, "rb") as fh:
+                data = fh.read()
+            with open(path, "wb") as fh:
+                fh.write(data[:len(data) // 2])
+        resumed = enumerate_family(fam, 6, checkpoint_dir=ck)
+        assert resumed.to_csv() == fresh.to_csv()
+        assert resumed.members == fresh.members
+        # the recomputed top level was written back whole
+        with open(top, "rb") as fh:
+            assert fh.read() == whole
 
 
 class TestExtensions:
