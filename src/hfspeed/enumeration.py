@@ -29,9 +29,11 @@ from fractions import Fraction
 from itertools import combinations
 
 from .canon import canonical_form, subset_orbit_reps, vertex_invariant, vertex_orbit
-from .errors import CapacityError, UnsupportedOperationError, ValidationError
+from .errors import (CapacityError, ResourceLimitError,
+                     UnsupportedOperationError, ValidationError)
 from .families import Budget, Family
 from .graphs import Graph, add_vertex
+from . import graph6
 
 ENUM_MAX_N = 16
 # bump when the checkpoint payload changes shape; old files are then ignored
@@ -84,6 +86,13 @@ class SpeedTable:
                 f"unlabeled={self.unlabeled})")
 
 
+def _budget_error(family, g, e):
+    """The budget error e of a membership call on g, naming the family,
+    the level (g's order) and g."""
+    return ResourceLimitError(f"{family.text()} at level {g.n}, graph "
+                              f"{graph6.encode(g)}: {e}")
+
+
 # one class per level entry: canonical rows, Aut generators (canonical
 # labels), |Aut|
 def _child_records(family, parents, n, budget_limit):
@@ -108,8 +117,12 @@ def _child_records(family, parents, n, budget_limit):
         parent = Graph.from_rows(rows)
         for sub in reps:
             child = add_vertex(parent, sub)
-            budget = Budget(budget_limit)
-            if not family.membership(child, budget, new_vertex_only=True).member:
+            try:
+                res = family.membership(child, Budget(budget_limit),
+                                        new_vertex_only=True)
+            except ResourceLimitError as e:
+                raise _budget_error(family, child, e) from e
+            if not res.member:
                 continue
             inv = vertex_invariant(child)
             vmax = max(inv)
@@ -184,7 +197,9 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     the structural family key, n) and make reruns resume at the highest
     completed level; a resumed run reads its lower members from the
     per-level files.  Each file is written whole or not at all, and a
-    truncated or unreadable one counts as missing.
+    truncated or unreadable one counts as missing and is written again.
+    An exhausted membership budget raises ResourceLimitError naming the
+    family, the level and the graph being decided.
     """
     if not f.hereditary:
         raise UnsupportedOperationError(
@@ -220,7 +235,10 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                 start_n = n
                 break
     if level is None:
-        member0 = f.membership(empty, Budget(budget_limit))
+        try:
+            member0 = f.membership(empty, Budget(budget_limit))
+        except ResourceLimitError as e:
+            raise _budget_error(f, empty, e) from e
         level = [(empty.rows, ())] if member0.member else []
         unlabeled = [len(level)]
         labeled = [len(level)]
@@ -274,9 +292,12 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             pool.join()
 
     if members is not None and any(m is None for m in members):
-        # a lower checkpoint file is missing: rerun the lower levels
+        # a lower checkpoint file is missing or unreadable: rerun the lower
+        # levels into the same directory, which resumes below the damaged
+        # level and rewrites it, so later resumes find it whole
         lower = enumerate_family(f, start_n - 1, budget_limit=budget_limit,
-                                 threads=threads, keep_members=True)
+                                 threads=threads, keep_members=True,
+                                 checkpoint_dir=checkpoint_dir)
         for i in range(start_n):
             members[i] = lower.members[i]
 

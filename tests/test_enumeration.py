@@ -118,6 +118,18 @@ class TestValidation:
         with pytest.raises(ResourceLimitError):
             enumerate_family(Forb([complete(3)]), 3, budget_limit=1)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_budget_error_names_family_level_and_graph(self, threads):
+        # budget 5 lasts through level 4; level 5 has several parents,
+        # so at two workers the error comes out of a pool worker
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_family(Forb([complete(3)]), 6, budget_limit=5,
+                             threads=threads)
+        msg = str(info.value)
+        assert msg.startswith("forb(K3) at level 5, graph D")
+        assert msg.endswith("exceeded node budget 5")
+        assert info.value.__cause__ is not None
+
 
 class TestDeterminism:
     def test_thread_count_does_not_change_output(self):
@@ -234,6 +246,33 @@ class TestCheckpoints:
         # the recomputed top level was written back whole
         with open(top, "rb") as fh:
             assert fh.read() == whole
+
+    def test_recomputed_lower_level_is_written_back(
+            self, tmp_path, monkeypatch):
+        import hfspeed.enumeration as enumeration
+        fam = Forb([complete(3)])
+        fresh_dir, ck = tmp_path / "fresh", tmp_path / "ck"
+        fresh = enumerate_family(fam, 6, checkpoint_dir=str(fresh_dir))
+        enumerate_family(fam, 6, checkpoint_dir=str(ck))
+        name = sorted(os.listdir(ck))[3]
+        level3 = ck / name
+        data = level3.read_bytes()
+        level3.write_bytes(data[:len(data) // 2])
+        levels = []
+        real = enumeration._child_records
+
+        def spy(family, parents, n, budget_limit):
+            levels.append(n)
+            return real(family, parents, n, budget_limit)
+
+        monkeypatch.setattr(enumeration, "_child_records", spy)
+        first = enumerate_family(fam, 6, checkpoint_dir=str(ck))
+        assert levels == [2]
+        assert level3.read_bytes() == (fresh_dir / name).read_bytes()
+        levels.clear()
+        second = enumerate_family(fam, 6, checkpoint_dir=str(ck))
+        assert levels == []
+        assert first.members == second.members == fresh.members
 
 
 class TestExtensions:

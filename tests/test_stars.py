@@ -8,7 +8,7 @@ from itertools import combinations
 
 import pytest
 
-from hfspeed import graph6
+from hfspeed import graph6, stars
 from hfspeed.canon import canonical_graph
 from hfspeed.enumeration import enumerate_family, labeled_count_direct
 from hfspeed.errors import CapacityError, ResourceLimitError, ValidationError
@@ -184,13 +184,19 @@ class TestStarSystems:
                             if star_system_irreducible(sy):
                                 scan.setdefault(sy.canonical_key(), sy)
             want = [scan[k] for k in sorted(scan)]
+            # one gadget canonical form per (J, alpha), shared by both betas
             calls = []
-            key = Constellation.canonical_key
-            monkeypatch.setattr(Constellation, "canonical_key",
-                                lambda c: calls.append(1) or key(c))
+            form = stars._gadget_form
+            monkeypatch.setattr(stars, "_gadget_form",
+                                lambda *a: calls.append(1) or form(*a))
             assert irreducible_star_systems(s) == want
-            assert len(calls) == len(want)
+            assert len(calls) == len({(sy.j, sy.alpha) for sy in want})
             monkeypatch.undo()
+
+    def test_shared_keys_are_canonical_keys(self):
+        for s in range(6):
+            for key, sy in stars._keyed_star_systems(s):
+                assert key == sy.canonical_key()
 
     def test_as_constellation(self):
         c = E2J.as_constellation()
@@ -478,6 +484,24 @@ class TestGeneration:
             assert len(set(keys)) == len(keys)
             again = [c.canonical_key() for c in generate_constellations(l, s)]
             assert again == keys
+
+    def test_one_part_grids_are_the_star_systems(self):
+        for s in range(7):
+            assert generate_constellations(1, s) == [
+                sy.as_constellation() for sy in irreducible_star_systems(s)]
+
+    def test_grids_digest(self):
+        # members and order of every grid below; recorded before the
+        # l = 1 keys were shared with irreducible_star_systems
+        h = hashlib.sha256()
+        grids = ([(1, s) for s in range(6)] + [(2, s) for s in range(3)]
+                 + [(3, 1), (5, 1), (6, 1)])
+        for l, s in grids:
+            h.update(f"{l},{s}\n".encode())
+            for c in generate_constellations(l, s):
+                h.update(c.to_json().encode() + b"\n")
+        assert h.hexdigest() == (
+            "15750c4f2db465eda068a4fac7a0929a9ff6b1ae2b865cf1d3727f4a1d8859b8")
 
     def test_guards(self):
         with pytest.raises(CapacityError):
