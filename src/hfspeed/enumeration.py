@@ -13,6 +13,15 @@ whose new vertex is not of maximum invariant can be rejected before any
 canonical computation.  The degree part of that filter is O(1) per subset
 via precomputed degree-threshold masks.
 
+Hereditary no-goods: when the family rejects child(P, sub), its
+_rejection_support may name a witness W, a set of parent vertices on which
+the child plus its new vertex x already induces a non-member.  A later
+child(P, sub') with sub' & W == sub & W induces the same graph on W + x,
+so, the family being hereditary, it is rejected too and is skipped before
+add_vertex and membership.  No-goods live for one parent's loop.  Forb
+gives the image of the pattern it found, H(2, 0) a shortest odd cycle
+through x; every other constructor gives none and decides every child.
+
 Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
 from the family's own membership engine, so enumeration and the direct
 labeled scan (labeled_count_direct) agree only if both are right; tests
@@ -115,7 +124,12 @@ def _child_records(family, parents, n, budget_limit):
                 survivors.append(sub)
         reps = subset_orbit_reps(n, gens, survivors)
         parent = Graph.from_rows(rows)
+        # no-goods: witness mask W -> the traces sub & W of rejected children
+        nogoods = {}
         for sub in reps:
+            if nogoods and any(sub & w in traces
+                               for w, traces in nogoods.items()):
+                continue
             child = add_vertex(parent, sub)
             try:
                 res = family.membership(child, Budget(budget_limit),
@@ -123,6 +137,9 @@ def _child_records(family, parents, n, budget_limit):
             except ResourceLimitError as e:
                 raise _budget_error(family, child, e) from e
             if not res.member:
+                w = family._rejection_support(child, res)
+                if w is not None:
+                    nogoods.setdefault(w, set()).add(sub & w)
                 continue
             inv = vertex_invariant(child)
             vmax = max(inv)

@@ -166,6 +166,13 @@ class Family:
         the graph minus its last vertex is already a member."""
         raise NotImplementedError
 
+    def _rejection_support(self, g: Graph, res: MembershipResult):
+        """A witness of the rejection res of g, whose last vertex is new and
+        whose other vertices induce a member: a mask W of those other
+        vertices such that g induced on W plus the new vertex is already
+        outside the family, or None when the constructor names none."""
+        return None
+
     def membership(self, g: Graph, budget: Budget | None = None,
                    new_vertex_only: bool = False) -> MembershipResult:
         if budget is None:
@@ -312,6 +319,10 @@ class Forb(Family):
                 return False, ("pattern", idx, eta)
         return True, None
 
+    def _rejection_support(self, g, res):
+        # the image of the pattern found
+        return mask_of(res.certificate[2]) & ~(1 << (g.n - 1))
+
 
 class ForbBigraph(Family):
     """Graphs with no embedding of any bigraph pattern (cross pairs exact,
@@ -395,6 +406,11 @@ class HST(Family):
             return False, None
         return True, _hst_cert(masks, s, t)
 
+    def _rejection_support(self, g, res):
+        if (self.s, self.t) != (2, 0):
+            return None
+        return _odd_cycle_support(g)
+
 
 def _hst_cert(masks, s, t):
     parts = [tuple(bits(m)) for m in masks]
@@ -426,6 +442,38 @@ def _two_color(g):
                 elif color[v] == cu:
                     return None
     return [m0, m1]
+
+
+def _odd_cycle_support(g):
+    """The vertices other than the last one, x, of an odd closed walk
+    through x, as a mask; None when the component of x is bipartite.
+
+    BFS from x stops at the first layer holding an edge: that edge and the
+    tree paths from its ends back to x close a walk of length 2k + 1 for
+    layer k.  When g minus x is bipartite, every odd cycle passes through
+    x and none is shorter, so the walk is a shortest odd cycle.
+    """
+    rows = g.rows
+    x = g.n - 1
+    pred = {}
+    seen = frontier = 1 << x
+    while frontier:
+        nxt = 0
+        for u in bits(frontier):
+            hit = rows[u] & frontier
+            if hit:
+                w = 0
+                for v in (u, (hit & -hit).bit_length() - 1):
+                    while v != x:
+                        w |= 1 << v
+                        v = pred[v]
+                return w
+            for v in bits(rows[u] & ~seen & ~nxt):
+                pred[v] = u
+            nxt |= rows[u] & ~seen
+        seen |= nxt
+        frontier = nxt
+    return None
 
 
 def _hst_backtrack(g, s, t, budget):

@@ -6,14 +6,18 @@ on every graph of a given order, both would have to share a bug to be
 wrong together.
 """
 
+import math
 from itertools import combinations, permutations, product
 
+from hfspeed.canon import (
+    canonical_form, subset_orbit_reps, vertex_invariant, vertex_orbit,
+)
 from hfspeed.families import (
-    ALL, Apex, AtomAll, AtomC, AtomM, AtomS,
+    ALL, Apex, AtomAll, AtomC, AtomM, AtomS, Budget,
     ComplementFamily, DisjointUnionFam, Forb, ForbBigraph, HST,
     IntersectionFam, Iota, JoinFam, PartitionProduct, UnionFam,
 )
-from hfspeed.graphs import Graph, complement, induced_subgraph
+from hfspeed.graphs import Graph, add_vertex, complement, induced_subgraph
 
 
 def all_labeled_graphs(n):
@@ -171,7 +175,13 @@ def verify_partition_certificate(g, fam, cert):
 def bfs_subset_orbit_reps(n, generators, masks=None):
     """Least mask of each subset orbit, ascending, by a plain BFS that
     images each mask one bit at a time (only the orbits meeting masks)."""
-    reps = []
+    return sorted(bfs_subset_orbits(n, generators, masks))
+
+
+def bfs_subset_orbits(n, generators, masks=None):
+    """{least mask of the orbit: orbit size} for each subset orbit meeting
+    masks, by the same BFS."""
+    reps = {}
     seen = set()
     for m in (range(1 << n) if masks is None else masks):
         if m in seen:
@@ -189,8 +199,8 @@ def bfs_subset_orbit_reps(n, generators, masks=None):
                     orbit.add(y)
                     frontier.append(y)
         seen |= orbit
-        reps.append(min(orbit))
-    return sorted(reps)
+        reps[min(orbit)] = len(orbit)
+    return reps
 
 
 def brute_first_embedding(pattern, host, pin=None, side=None):
@@ -255,3 +265,69 @@ def apply_perm_to_mask(mask, perm):
         if mask >> v & 1:
             out |= 1 << perm[v]
     return out
+
+
+def all_reps_child_records(family, parents, n, budget_limit):
+    """The augmentation step that decides the membership of every orbit
+    representative: the (rows, gens, aut) records of the accepted children
+    of the parent records, in the order the enumerator produces them.  It
+    shares the degree filter, the orbit reduction and the canonicity test
+    with the enumerator, so it pins the no-good skips and nothing else."""
+    out = []
+    nb = n + 1
+    for rows, gens in parents:
+        degs = [r.bit_count() for r in rows]
+        maxdeg = max(degs, default=0)
+        deg_mask = [0] * (n + 2)
+        for v, d in enumerate(degs):
+            for t in range(d + 1):
+                deg_mask[t] |= 1 << v
+        survivors = []
+        for sub in range(1 << n):
+            t = sub.bit_count()
+            if t >= maxdeg and not sub & deg_mask[t]:
+                survivors.append(sub)
+        parent = Graph.from_rows(rows)
+        for sub in subset_orbit_reps(n, gens, survivors):
+            child = add_vertex(parent, sub)
+            if not family.membership(child, Budget(budget_limit),
+                                     new_vertex_only=True).member:
+                continue
+            inv = vertex_invariant(child)
+            if inv[n] != max(inv):
+                continue
+            cf = canonical_form(child)
+            w = cf.labeling.index(nb - 1)
+            if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
+                continue
+            lab = cf.labeling
+            inv_lab = [0] * nb
+            for i, p in enumerate(lab):
+                inv_lab[p] = i
+            gens_c = tuple(tuple(lab[p[inv_lab[q]]] for q in range(nb))
+                           for p in cf.generators)
+            out.append((cf.canon.rows, gens_c, cf.aut_order))
+    return out
+
+
+def double_count_labeled(family, members, n):
+    """labeled(n + 1) of family by double counting over its level-n classes.
+
+    A labeled member on n + 1 vertices is a labeled member P on the first n
+    plus the neighbourhood r of the last one, so labeled(n + 1) is the sum
+    over the classes P of (n! / |Aut P|) * ext(P), where ext(P) counts the
+    subsets r with P + r in the family: orbit sizes of the Aut(P)-orbit
+    representatives, found by BFS, each decided once by membership of the
+    new vertex (P is a member).  It shares membership and the parents' generators and |Aut| with the
+    enumerator, and neither its degree filter, its canonicity test nor the
+    children's |Aut|.
+    """
+    total = 0
+    for p in members:
+        cf = canonical_form(p)
+        ext = sum(size for rep, size in
+                  bfs_subset_orbits(n, cf.generators).items()
+                  if family.membership(add_vertex(p, rep),
+                                    new_vertex_only=True).member)
+        total += math.factorial(n) // cf.aut_order * ext
+    return total

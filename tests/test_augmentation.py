@@ -1,0 +1,103 @@
+"""The augmentation step against references that decide every child.
+
+_child_records skips a child when an earlier rejected sibling's witness
+set W of parent vertices already decides it; these tests check that the
+skips change nothing (the records equal those of a loop that decides every
+orbit representative), that every witness really is one, and that the
+members and labeled counts agree with a frozen digest and with an
+independent double count.
+"""
+
+import functools
+import hashlib
+import random
+
+import pytest
+
+from hfspeed.enumeration import _child_records, enumerate_family
+from hfspeed.families import Forb, HST
+from hfspeed.graphs import (
+    Graph, add_vertex, complete, cycle, induced_subgraph, matching,
+)
+from oracles import (
+    all_reps_child_records, double_count_labeled, naive_member,
+)
+from test_acceptance import SIX
+
+FORB_C5 = Forb([cycle(5)])
+FORB_K4 = Forb([complete(4)])
+FORB_C4_2K2 = Forb([cycle(4), matching(2)])
+
+
+@functools.lru_cache(maxsize=None)
+def _table8(fam):
+    return enumerate_family(fam, 8)
+
+
+@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2],
+                         ids=lambda f: f.text())
+def test_child_records_equal_deciding_every_rep(fam):
+    empty = Graph(0)
+    level = [(empty.rows, ())] if fam.membership(empty).member else []
+    for n in range(7):
+        want = all_reps_child_records(fam, level, n, None)
+        assert _child_records(fam, level, n, None) == want, n
+        level = [(rows, gens) for rows, gens, _ in
+                 sorted(want, key=lambda r: r[0])]
+
+
+@pytest.mark.parametrize("fam", [Forb([complete(3)]), FORB_C5, HST(2, 0)],
+                         ids=lambda f: f.text())
+def test_rejection_support_is_a_witness(fam):
+    rng = random.Random(6)
+    table = enumerate_family(fam, 7)
+    checked = 0
+    for n in range(1, 8):
+        for parent in table.members[n]:
+            for _ in range(8):
+                child = add_vertex(parent, rng.getrandbits(n))
+                res = fam.membership(child, new_vertex_only=True)
+                if res.member:
+                    continue
+                w = fam._rejection_support(child, res)
+                assert w is not None and not w >> n
+                keep = [v for v in range(n) if w >> v & 1] + [n]
+                assert not naive_member(induced_subgraph(child, keep), fam)
+                checked += 1
+    assert checked > 100
+
+
+# sha256 over (n, unlabeled, labeled, member rows) at every level to n = 8,
+# recorded before children were skipped by witnesses
+MEMBERS_DIGEST = {
+    "H(2, 0)":
+        "afa6c60529502b1518af7ac8280e11639d9c747451a8f637d6e25e87b6c4f9cd",
+    "H(1, 1)":
+        "798b1c68cce13fc9af6c9a2f7befe06e10913ca9721394a4eee138789aec0a9c",
+    "forb(K3)":
+        "fd40fc8e56a8a42dc3a5e990475a3ed8c8b44b98ff2c2e25bb293ae701534b4c",
+    "forb(2K2)":
+        "caa28d6b535ee132add678d64da2ccd01bf57c5555d34d4a252c459f90a2379b",
+    "M":
+        "43cfb729f1283d19d4f4008d827993770268425e210bf32fe627fa26f3618ccc",
+    "P(M, C)":
+        "8000322424d4bb19944176747935c061cf9f3d7fdc277e9b4976b690481266a7",
+}
+
+
+@pytest.mark.parametrize("fam", SIX, ids=lambda f: f.text())
+def test_members_digest(fam):
+    table = _table8(fam)
+    h = hashlib.sha256()
+    for n in range(9):
+        h.update(repr((n, table.unlabeled[n], table.labeled[n],
+                       [g.rows for g in table.members[n]])).encode())
+    assert h.hexdigest() == MEMBERS_DIGEST[fam.text()]
+
+
+@pytest.mark.parametrize("fam", SIX + [FORB_C5], ids=lambda f: f.text())
+def test_double_count(fam):
+    table = _table8(fam)
+    for n in range(8):
+        assert (double_count_labeled(fam, table.members[n], n)
+                == table.labeled[n + 1]), n
