@@ -13,7 +13,6 @@ from .errors import (
     ValidationError,
 )
 from .graphs import (
-    Bigraph,
     Graph,
     complement,
     complete,
@@ -21,9 +20,7 @@ from .graphs import (
     cycle,
     disjoint_union,
     edgeless,
-    find_bigraph_embedding,
     find_induced_embedding,
-    homogeneous_decomposition,
     induced_subgraph,
     join,
     matching,
@@ -41,7 +38,6 @@ from .families import (
     DisjointUnionFam,
     Family,
     Forb,
-    ForbBigraph,
     HST,
     IntersectionFam,
     Iota,
@@ -61,9 +57,7 @@ from .enumeration import (
     DeltaReport,
     SpeedTable,
     enumerate_family,
-    family_members,
     labeled_count_direct,
-    one_vertex_extensions,
     speed_delta,
 )
 from .structure import (

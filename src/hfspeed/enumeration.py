@@ -321,11 +321,6 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     return SpeedTable(f.text(), n_max, unlabeled, labeled, members)
 
 
-def family_members(f: Family, n: int, **kw) -> list[Graph]:
-    """Canonical representatives of the n-vertex members of f."""
-    return enumerate_family(f, n, **kw).members[n]
-
-
 # ---------------------------------------------------------------------------
 # the independent counting route
 
@@ -350,18 +345,6 @@ def labeled_count_direct(f: Family, n: int, budget_limit: int | None = None) -> 
         if f.membership(g, Budget(budget_limit)).member:
             total += 1
     return total
-
-
-def one_vertex_extensions(g: Graph, f: Family,
-                          budget_limit: int | None = None) -> list[Graph]:
-    """All one-vertex extensions of g inside f, by ascending neighbourhood
-    mask of the new vertex (labeled, not up to isomorphism)."""
-    out = []
-    for sub in range(1 << g.n):
-        child = add_vertex(g, sub)
-        if f.membership(child, Budget(budget_limit)).member:
-            out.append(child)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,22 @@ hash (family text, graph, node count), which pins the run for reproducing.
 The hash is computed on first read, so the enumerator, which reads only
 the verdict, never pays for it.
 
-Hereditariness is tracked *by construction*: the flag is True only when the
-expression shape guarantees it (forb, H, iota, partition products and
-set/graph operations over hereditary parts).  apex is the one constructor
-that breaks it.
+Each constructor declares its fields, one kind per field (family, graph, a
+tuple of those, or a bounded int), and a tag; the Family base validates,
+keys, prints, compares and pickles every constructor from that declaration.
+Hereditariness is tracked *by construction*: a family is hereditary iff
+every family-valued field is, so the leaves (atoms, forb, H, iota) are, and
+apex is the one constructor that breaks it.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections import namedtuple
 
 from .errors import ResourceLimitError, UnsupportedOperationError, ValidationError
 from . import graph6
 from .graphs import (
-    Bigraph,
     Graph,
     _embed,
     bits,
@@ -32,7 +34,6 @@ from .graphs import (
     complete,
     cycle,
     edgeless,
-    find_bigraph_embedding,
     find_induced_embedding,
     induced_subgraph,
     mask_of,
@@ -120,32 +121,66 @@ class PartitionCertificate:
 
 
 class Family:
-    """Base class: structural equality, hereditary flag, membership."""
+    """Base class: a constructor applied to declared fields.
 
-    __slots__ = ()
-    hereditary = False
+    A constructor lists its fields as the leading entries of __slots__,
+    with one _Kind per field in _kinds and its key/text tag in _tag.  The
+    base validates each argument by its kind, then runs the class's
+    _validate, and stores the key, so equality, hashing and checkpoint
+    names never rebuild it.  text() is tag(arg, ...), or the bare tag for
+    a constructor without fields.  A family is hereditary by construction
+    iff every family-valued field is; the leaves say True outright and
+    apex says False.
+    """
+
+    __slots__ = ("_key",)
+    _tag = None
+    _kinds = ()
+
+    def __init__(self, *args):
+        if len(args) != len(self._kinds):
+            raise TypeError(f"{type(self).__name__} takes {len(self._kinds)} "
+                            f"arguments, got {len(args)}")
+        key = [self._tag]
+        for name, kind, value in zip(self.__slots__, self._kinds, args):
+            got = kind.take(value)
+            if got is None:
+                raise ValidationError(
+                    f"{self._tag}: {name} must be {kind.what}, got {value!r}")
+            object.__setattr__(self, name, got)
+            key += kind.key(got)
+        self._validate()
+        object.__setattr__(self, "_key", tuple(key))
+
+    def _validate(self):
+        """The constructor's check beyond its field kinds."""
+
+    def _fields(self):
+        return tuple(getattr(self, name)
+                     for name in self.__slots__[:len(self._kinds)])
+
+    def _subfamilies(self):
+        """The family-valued fields, tuples flattened."""
+        return [f for kind, value in zip(self._kinds, self._fields())
+                for f in kind.subs(value)]
 
     def __setattr__(self, *a):
         raise AttributeError("Family is immutable")
 
-    # immutable slot classes need explicit pickle support
-    def __getstate__(self):
-        state = {}
-        for cls in type(self).__mro__:
-            for slot in getattr(cls, "__slots__", ()):
-                if hasattr(self, slot):
-                    state[slot] = getattr(self, slot)
-        return state
+    def __reduce__(self):
+        return (type(self), self._fields())
 
-    def __setstate__(self, state):
-        for k, v in state.items():
-            object.__setattr__(self, k, v)
+    @property
+    def hereditary(self):
+        return all(f.hereditary for f in self._subfamilies())
 
     def key(self):
-        raise NotImplementedError
+        return self._key
 
     def text(self) -> str:
-        raise NotImplementedError
+        args = [t for kind, value in zip(self._kinds, self._fields())
+                for t in kind.text(value)]
+        return f"{self._tag}({', '.join(args)})" if args else self._tag
 
     def transcript_head(self) -> str:
         """Leading field of an uncertified verdict's transcript blob."""
@@ -186,18 +221,58 @@ class Family:
 
 
 # ---------------------------------------------------------------------------
+# field kinds
+
+# what a declared field holds: take(value) returns the value to store, or
+# None to refuse it; key(value) gives the field's items of the family key,
+# text(value) its arguments in the family text and subs(value) the
+# families in it
+_Kind = namedtuple("_Kind", "what take key text subs",
+                   defaults=(lambda v: (),))
+
+
+def _one(cls):
+    return lambda v: v if isinstance(v, cls) else None
+
+
+def _some(cls):
+    def take(v):
+        try:
+            v = tuple(v)
+        except TypeError:
+            return None
+        return v if v and all([isinstance(x, cls) for x in v]) else None
+    return take
+
+
+def _int_from(low):
+    return _Kind(f"an int >= {low}",
+                 lambda v: v if type(v) is int and v >= low else None,
+                 lambda v: (v,), lambda v: [str(v)])
+
+
+_FAMILY = _Kind("a family", _one(Family),
+                lambda f: (f.key(),), lambda f: [f.text()], lambda f: (f,))
+_FAMILIES = _Kind("one or more families", _some(Family),
+                  lambda fs: tuple([f.key() for f in fs]),
+                  lambda fs: [f.text() for f in fs], lambda fs: fs)
+_GRAPH = _Kind("a graph", _one(Graph),
+               lambda g: (g.n, g.rows), lambda g: [graph_name(g)])
+_GRAPHS = _Kind("one or more graphs", _some(Graph),
+                lambda gs: tuple([(g.n, g.rows) for g in gs]),
+                lambda gs: [graph_name(g) for g in gs])
+_NAT = _int_from(0)
+_POS = _int_from(1)
+
+
+# ---------------------------------------------------------------------------
 # atoms
 
 class AtomS(Family):
     """Edgeless graphs."""
     __slots__ = ()
+    _tag = "S"
     hereditary = True
-
-    def key(self):
-        return ("S",)
-
-    def text(self):
-        return "S"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -207,13 +282,8 @@ class AtomS(Family):
 class AtomC(Family):
     """Complete graphs."""
     __slots__ = ()
+    _tag = "C"
     hereditary = True
-
-    def key(self):
-        return ("C",)
-
-    def text(self):
-        return "C"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -224,13 +294,8 @@ class AtomC(Family):
 class AtomM(Family):
     """Matchings: maximum degree at most 1."""
     __slots__ = ()
+    _tag = "M"
     hereditary = True
-
-    def key(self):
-        return ("M",)
-
-    def text(self):
-        return "M"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -240,13 +305,8 @@ class AtomM(Family):
 class AtomAll(Family):
     """All graphs."""
     __slots__ = ()
+    _tag = "ALL"
     hereditary = True
-
-    def key(self):
-        return ("ALL",)
-
-    def text(self):
-        return "ALL"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -266,26 +326,14 @@ class Forb(Family):
     """Graphs with no induced copy of any pattern in the list."""
 
     __slots__ = ("patterns", "_pattern_reps")
+    _tag = "forb"
+    _kinds = (_GRAPHS,)
     hereditary = True
 
-    def __init__(self, patterns):
-        patterns = tuple(patterns)
-        if not patterns:
-            raise ValidationError("forb needs at least one pattern")
-        if any(not isinstance(p, Graph) for p in patterns):
-            raise ValidationError("forb patterns must be graphs")
-        object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "_pattern_reps", None)
-
-    def key(self):
-        return ("forb",) + tuple((p.n, p.rows) for p in self.patterns)
-
-    def text(self):
-        return "forb(" + ", ".join(graph_name(p) for p in self.patterns) + ")"
-
     def _anchored_reps(self):
-        # orbit representatives of each pattern's vertices, for anchored scans
-        reps = self._pattern_reps
+        # orbit representatives of each pattern's vertices, for anchored
+        # scans; computed on first use, not pickled
+        reps = getattr(self, "_pattern_reps", None)
         if reps is None:
             from .canon import canonical_form, vertex_orbit
             reps = []
@@ -324,37 +372,6 @@ class Forb(Family):
         return mask_of(res.certificate[2]) & ~(1 << (g.n - 1))
 
 
-class ForbBigraph(Family):
-    """Graphs with no embedding of any bigraph pattern (cross pairs exact,
-    within-side pairs free).  Not reachable from the DSL."""
-
-    __slots__ = ("patterns",)
-    hereditary = True
-
-    def __init__(self, patterns):
-        patterns = tuple(patterns)
-        if not patterns or any(not isinstance(p, Bigraph) for p in patterns):
-            raise ValidationError("forb_bigraph needs Bigraph patterns")
-        object.__setattr__(self, "patterns", patterns)
-
-    def key(self):
-        return ("forbB",) + tuple((p.a, p.b, p.cross) for p in self.patterns)
-
-    def text(self):
-        inner = ", ".join(
-            f"B[{p.a},{p.b};{','.join(format(c, 'x') for c in p.cross)}]"
-            for p in self.patterns)
-        return f"forb_bigraph({inner})"
-
-    def _decide(self, g, budget, new_vertex_only):
-        for idx, p in enumerate(self.patterns):
-            budget.spend(g.n + 1)
-            hit = find_bigraph_embedding(p, g)
-            if hit is not None:
-                return False, ("bigraph", idx, hit)
-        return True, None
-
-
 # ---------------------------------------------------------------------------
 # H(s, t): s independent parts plus t clique parts
 
@@ -362,19 +379,9 @@ class HST(Family):
     """Graphs partitionable into s independent sets and t cliques."""
 
     __slots__ = ("s", "t")
+    _tag = "H"
+    _kinds = (_NAT, _NAT)
     hereditary = True
-
-    def __init__(self, s, t):
-        if s < 0 or t < 0:
-            raise ValidationError("H(s,t) needs s, t >= 0")
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
-
-    def key(self):
-        return ("H", self.s, self.t)
-
-    def text(self):
-        return f"H({self.s}, {self.t})"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -523,24 +530,8 @@ class PartitionProduct(Family):
     empty) parts with part i inducing a member of F_i."""
 
     __slots__ = ("factors",)
-
-    def __init__(self, factors):
-        factors = tuple(factors)
-        if not factors:
-            raise ValidationError("P needs at least one factor")
-        if any(not isinstance(f, Family) for f in factors):
-            raise ValidationError("P factors must be families")
-        object.__setattr__(self, "factors", factors)
-
-    @property
-    def hereditary(self):
-        return all(f.hereditary for f in self.factors)
-
-    def key(self):
-        return ("P",) + tuple(f.key() for f in self.factors)
-
-    def text(self):
-        return "P(" + ", ".join(f.text() for f in self.factors) + ")"
+    _tag = "P"
+    _kinds = (_FAMILIES,)
 
     def _decide(self, g, budget, new_vertex_only):
         n = g.n
@@ -604,18 +595,9 @@ class Iota(Family):
     """All graphs isomorphic to an induced subgraph of one fixed graph."""
 
     __slots__ = ("host",)
+    _tag = "iota"
+    _kinds = (_GRAPH,)
     hereditary = True
-
-    def __init__(self, host):
-        if not isinstance(host, Graph):
-            raise ValidationError("iota takes a graph")
-        object.__setattr__(self, "host", host)
-
-    def key(self):
-        return ("iota", self.host.n, self.host.rows)
-
-    def text(self):
-        return f"iota({graph_name(self.host)})"
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend(g.n + 1)
@@ -633,20 +615,13 @@ class Apex(Family):
     """
 
     __slots__ = ("base",)
+    _tag = "apex"
+    _kinds = (_FAMILY,)
     hereditary = False
 
-    def __init__(self, base):
-        if not isinstance(base, Family):
-            raise ValidationError("apex takes a family")
-        if _contains_apex(base):
+    def _validate(self):
+        if _contains_apex(self.base):
             raise ValidationError("apex cannot be nested")
-        object.__setattr__(self, "base", base)
-
-    def key(self):
-        return ("apex", self.base.key())
-
-    def text(self):
-        return f"apex({self.base.text()})"
 
     def _decide(self, g, budget, new_vertex_only):
         for v in range(g.n):
@@ -659,36 +634,15 @@ class Apex(Family):
 
 
 def _contains_apex(f: Family) -> bool:
-    if isinstance(f, Apex):
-        return True
-    if isinstance(f, PartitionProduct):
-        return any(_contains_apex(x) for x in f.factors)
-    for slot in ("base", "left", "right"):
-        if hasattr(f, slot) and isinstance(getattr(f, slot), Family):
-            if _contains_apex(getattr(f, slot)):
-                return True
-    return False
+    return isinstance(f, Apex) or any(map(_contains_apex, f._subfamilies()))
 
 
 class ComplementFamily(Family):
     """co(F): graphs whose complement lies in F."""
 
     __slots__ = ("base",)
-
-    def __init__(self, base):
-        if not isinstance(base, Family):
-            raise ValidationError("co takes a family")
-        object.__setattr__(self, "base", base)
-
-    @property
-    def hereditary(self):
-        return self.base.hereditary
-
-    def key(self):
-        return ("co", self.base.key())
-
-    def text(self):
-        return f"co({self.base.text()})"
+    _tag = "co"
+    _kinds = (_FAMILY,)
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()
@@ -703,22 +657,8 @@ class DisjointUnionFam(Family):
     edges between, half i in F_i.  Halves are unions of components."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        if not isinstance(left, Family) or not isinstance(right, Family):
-            raise ValidationError("du takes two families")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def hereditary(self):
-        return self.left.hereditary and self.right.hereditary
-
-    def key(self):
-        return ("du", self.left.key(), self.right.key())
-
-    def text(self):
-        return f"du({self.left.text()}, {self.right.text()})"
+    _tag = "du"
+    _kinds = (_FAMILY, _FAMILY)
 
     def _decide(self, g, budget, new_vertex_only):
         return _split_decide(g, budget, components(g), self.left, self.right, "du")
@@ -729,22 +669,8 @@ class JoinFam(Family):
     Halves are unions of co-components."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        if not isinstance(left, Family) or not isinstance(right, Family):
-            raise ValidationError("join takes two families")
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def hereditary(self):
-        return self.left.hereditary and self.right.hereditary
-
-    def key(self):
-        return ("join", self.left.key(), self.right.key())
-
-    def text(self):
-        return f"join({self.left.text()}, {self.right.text()})"
+    _tag = "join"
+    _kinds = (_FAMILY, _FAMILY)
 
     def _decide(self, g, budget, new_vertex_only):
         return _split_decide(g, budget, co_components(g), self.left, self.right, "join")
@@ -775,17 +701,8 @@ class UnionFam(Family):
     """Set union."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def hereditary(self):
-        return self.left.hereditary and self.right.hereditary
-
-    def key(self):
-        return ("or", self.left.key(), self.right.key())
+    _tag = "or"
+    _kinds = (_FAMILY, _FAMILY)
 
     def text(self):
         return f"({self.left.text()} or {self.right.text()})"
@@ -805,17 +722,8 @@ class IntersectionFam(Family):
     """Set intersection."""
 
     __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-
-    @property
-    def hereditary(self):
-        return self.left.hereditary and self.right.hereditary
-
-    def key(self):
-        return ("and", self.left.key(), self.right.key())
+    _tag = "and"
+    _kinds = (_FAMILY, _FAMILY)
 
     def text(self):
         return f"({self.left.text()} and {self.right.text()})"

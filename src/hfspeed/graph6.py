@@ -71,10 +71,3 @@ def decode(text: str) -> Graph:
             raise ValidationError("nonzero padding in graph6 string")
     return Graph(n, edges)
 
-
-def iter_decode(lines):
-    """Decode an iterable of graph6 lines, skipping blanks."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield decode(line)

@@ -7,8 +7,8 @@ intersections and subset logic are single int operations.  The hard cap of
 enumeration) is far below it.
 
 Every induced-embedding search in the package (forbidden patterns, pinned
-or not, bigraphs, iota, and the core embeddings of P(J) and templates)
-runs on the one backtrack _embed below.
+or not, iota, and the core embeddings of P(J) and templates) runs on the
+one backtrack _embed below.
 """
 
 from __future__ import annotations
@@ -210,10 +210,6 @@ def is_independent_mask(g: Graph, mask: int) -> bool:
     return True
 
 
-def is_connected(g: Graph) -> bool:
-    return g.n <= 1 or len(components(g)) == 1
-
-
 # ---------------------------------------------------------------------------
 # named constructions
 
@@ -259,16 +255,12 @@ def copies(k: int, g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 # induced embeddings
 
-def _embed(prow, host: Graph, order, pin=None, check=None, budget=None,
-           accept=None):
+def _embed(prow, host: Graph, order, pin=None, budget=None, accept=None):
     """The one induced-embedding backtrack.
 
     Maps the pattern vertices of `order`, in that order, injectively into
-    host so that each constrained pair is an edge exactly when it is one
-    in the pattern rows prow.  check[v], when given, masks the pattern
-    vertices whose pairs with v are constrained (bigraphs leave
-    within-side pairs free); otherwise every pair is.  pin fixes the host
-    vertex of order[0].  Candidates are tried in increasing order, so the
+    host so that each pair is an edge exactly when it is one in the
+    pattern rows prow.  pin fixes the host vertex of order[0].  Candidates are tried in increasing order, so the
     first witness is the lexicographically least; a candidate needs host
     degree at least its pattern degree among `order`.  With a budget, one
     node is spent per unused candidate passing that filter, before the
@@ -293,12 +285,10 @@ def _embed(prow, host: Graph, order, pin=None, check=None, budget=None,
         v = order[i]
         row = prow[v]
         need = (row & placed).bit_count()
-        cmask = -1 if check is None else check[v]
         free = fits = full & ~used
         for j in range(i):
             w = order[j]
-            if cmask >> w & 1:
-                fits &= hrow[eta[w]] if row >> w & 1 else ~hrow[eta[w]]
+            fits &= hrow[eta[w]] if row >> w & 1 else ~hrow[eta[w]]
         scan = fits if budget is None else free
         while scan:
             b = scan & -scan
@@ -336,124 +326,3 @@ def find_induced_embedding(pattern: Graph, host: Graph):
 
 def contains_induced(host: Graph, pattern: Graph) -> bool:
     return find_induced_embedding(pattern, host) is not None
-
-
-# ---------------------------------------------------------------------------
-# bigraphs (ordered bipartite patterns: only cross pairs are constrained)
-
-class Bigraph:
-    """Bipartite pattern with sides A (size a) and B (size b).
-
-    cross[i] is the mask over B-indices adjacent to the i-th A-vertex.
-    Used for bigraph-freeness: an embedding constrains cross pairs exactly
-    and leaves within-side pairs free.
-    """
-
-    __slots__ = ("a", "b", "cross")
-
-    def __init__(self, a: int, b: int, cross_edges=()):
-        cross = [0] * a
-        for i, j in cross_edges:
-            if not (0 <= i < a and 0 <= j < b):
-                raise ValidationError(f"cross edge ({i},{j}) out of range")
-            cross[i] |= 1 << j
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "cross", tuple(cross))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Bigraph is immutable")
-
-    def __reduce__(self):
-        edges = [(i, j) for i in range(self.a) for j in bits(self.cross[i])]
-        return (Bigraph, (self.a, self.b, edges))
-
-    def __eq__(self, other):
-        return (isinstance(other, Bigraph) and self.a == other.a
-                and self.b == other.b and self.cross == other.cross)
-
-    def __hash__(self):
-        return hash(("Bigraph", self.a, self.b, self.cross))
-
-    def __repr__(self):
-        es = [(i, j) for i in range(self.a) for j in bits(self.cross[i])]
-        return f"Bigraph({self.a}, {self.b}, {es})"
-
-    @classmethod
-    def between(cls, g: Graph, left, right) -> "Bigraph":
-        """The bigraph g[left, right] induced by two disjoint vertex lists."""
-        left, right = list(left), list(right)
-        if set(left) & set(right):
-            raise ValidationError("sides must be disjoint")
-        es = [(i, j) for i, u in enumerate(left) for j, v in enumerate(right)
-              if g.rows[u] >> v & 1]
-        return cls(len(left), len(right), es)
-
-
-def find_bigraph_embedding(pattern: Bigraph, host: Graph):
-    """Injective map of A then B into host matching all cross pairs exactly.
-
-    Within-side adjacency in the host is unconstrained.  Deterministic
-    first-witness order as in find_induced_embedding.  Returns a pair of
-    tuples (A-images, B-images), or None.
-    """
-    a, b = pattern.a, pattern.b
-    rows = [c << a for c in pattern.cross]
-    rows += [mask_of(i for i in range(a) if pattern.cross[i] >> j & 1)
-             for j in range(b)]
-    check = [((1 << b) - 1) << a] * a + [(1 << a) - 1] * b
-    eta = _embed(rows, host, range(a + b), check=check)
-    return None if eta is None else (eta[:a], eta[a:])
-
-
-# ---------------------------------------------------------------------------
-# Ramsey-type greedy decomposition
-
-def _find_homogeneous(g: Graph, mask: int, r: int, want_clique: bool):
-    """Least r-subset of mask that is a clique (or independent set), or None."""
-    rows = g.rows
-    full = g.full_mask()
-
-    def rec(chosen, count, cand):
-        if count == r:
-            return chosen
-        while cand:
-            b = cand & -cand
-            cand ^= b
-            v = b.bit_length() - 1
-            nxt = cand & (rows[v] if want_clique else full ^ rows[v])
-            if count + 1 + nxt.bit_count() >= r:
-                got = rec(chosen | b, count + 1, nxt)
-                if got is not None:
-                    return got
-        return None
-
-    return rec(0, 0, mask)
-
-
-def homogeneous_decomposition(g: Graph, r: int):
-    """Greedily split V(g) into cliques and independent sets of size exactly r.
-
-    Each step takes the least available r-clique, else the least available
-    r-independent set.  Returns (parts, leftover_mask) where parts is a list
-    of ("clique" | "independent", mask) pairs.  Ramsey's bound R(r,r) <= 4**r
-    guarantees the leftover has at most 4**r vertices; that is checked.
-    """
-    if r < 1:
-        raise ValidationError("part size must be positive")
-    parts = []
-    rem = g.full_mask()
-    while rem.bit_count() >= r:
-        got = _find_homogeneous(g, rem, r, True)
-        if got is not None:
-            parts.append(("clique", got))
-        else:
-            got = _find_homogeneous(g, rem, r, False)
-            if got is None:
-                break
-            parts.append(("independent", got))
-        rem ^= got
-    if rem.bit_count() > 4 ** r:
-        raise RuntimeError(f"leftover of {rem.bit_count()} vertices "
-                           f"exceeds the Ramsey bound 4**{r}")
-    return parts, rem

@@ -24,13 +24,12 @@ requirement that the crown induce a complete or edgeless graph.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from itertools import combinations, combinations_with_replacement
 
 from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
-from .families import ALL, Budget, Family, HST, MembershipResult
+from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
 from .graphs import Graph, _embed, bits, delete_vertex, mask_of
 from . import graph6
 
@@ -248,9 +247,6 @@ class Constellation:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True,
                           separators=(",", ":"))
-
-    def stable_hash(self) -> str:
-        return hashlib.sha256(self.to_json().encode()).hexdigest()
 
     def transcript_head(self) -> str:
         """Leading field of an uncertified P(J) verdict's transcript blob."""
@@ -605,31 +601,29 @@ def verify_pj_certificate(g: Graph, c, cert) -> bool:
     return induced_subgraph(host, range(n)) == g
 
 
+# P(J)'s field: key (n, rows, phi, alpha, beta), text g6;phi;alpha;beta
+_CONSTELLATION = _Kind(
+    "a star system or constellation",
+    lambda c: (c.as_constellation() if isinstance(c, StarSystem)
+               else c if isinstance(c, Constellation) else None),
+    lambda c: (c.j.n, c.j.rows, c.phi, c.alpha, c.beta),
+    lambda c: [";".join([graph6.encode(c.j)] + [
+        "".join(map(str, x)) for x in (c.phi, c.alpha, c.beta)])])
+
+
 class PJFamily(Family):
     """P(J) as a family expression: hereditary by definition (induced
     subgraphs of hosts), usable by the enumerator.  The decision has no
     incremental shortcut, so new_vertex_only is ignored."""
 
     __slots__ = ("constellation",)
+    _tag = "pj"
+    _kinds = (_CONSTELLATION,)
     hereditary = True
 
-    def __init__(self, c):
-        object.__setattr__(self, "constellation", _as_constellation(c))
-
-    def key(self):
-        c = self.constellation
-        return ("pj", c.j.n, c.j.rows, c.phi, c.alpha, c.beta)
-
-    def text(self):
-        c = self.constellation
-        return ("pj(" + graph6.encode(c.j)
-                + ";" + "".join(map(str, c.phi))
-                + ";" + "".join(map(str, c.alpha))
-                + ";" + "".join(map(str, c.beta)) + ")")
-
     def _decide(self, g, budget, new_vertex_only):
-        return (lambda cert: (cert is not None, cert))(
-            _pj_decide(g, self.constellation, budget))
+        cert = _pj_decide(g, self.constellation, budget)
+        return cert is not None, cert
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,8 @@ from .families import (
     PartitionCertificate,
     PartitionProduct,
     S,
+    _FAMILY,
+    _POS,
 )
 from .graphs import (
     Graph, add_vertex, complement, delete_vertex, disjoint_union, edgeless,
@@ -183,22 +185,18 @@ class ReducedFamily(Family):
 
     Heredity is a theorem about red(f), not a construction, so the
     enumerator takes it on trust here; enumerate_reduced re-verifies it on
-    every emitted member.
+    every emitted member.  The text omits l; the key, and so the
+    checkpoint name, keeps it.
     """
 
     __slots__ = ("base", "l")
+    _tag = "red"
+    _kinds = (_FAMILY, _POS)
     hereditary = True
 
-    def __init__(self, base, l):
-        if not isinstance(base, Forb):
+    def _validate(self):
+        if not isinstance(self.base, Forb):
             raise ValidationError("red() needs forbidden-pattern form")
-        if l < 1:
-            raise ValidationError("red() needs l >= 1")
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "l", l)
-
-    def key(self):
-        return ("red", self.base.key(), self.l)
 
     def text(self):
         return f"red({self.base.text()})"

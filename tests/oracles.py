@@ -14,7 +14,7 @@ from hfspeed.canon import (
 )
 from hfspeed.families import (
     ALL, Apex, AtomAll, AtomC, AtomM, AtomS, Budget,
-    ComplementFamily, DisjointUnionFam, Forb, ForbBigraph, HST,
+    ComplementFamily, DisjointUnionFam, Forb, HST,
     IntersectionFam, Iota, JoinFam, PartitionProduct, UnionFam,
 )
 from hfspeed.graphs import Graph, add_vertex, complement, induced_subgraph
@@ -63,18 +63,6 @@ def brute_embeds_induced(pattern, host):
     return False
 
 
-def brute_embeds_bigraph(pattern, host):
-    a, b = pattern.a, pattern.b
-    if a + b > host.n:
-        return False
-    for image in permutations(range(host.n), a + b):
-        am, bm = image[:a], image[a:]
-        if all(host.rows[am[i]] >> bm[j] & 1 == pattern.cross[i] >> j & 1
-               for i in range(a) for j in range(b)):
-            return True
-    return a + b == 0
-
-
 def naive_member(g, fam):
     """Reference membership: definition-chasing recursion, no shortcuts."""
     n = g.n
@@ -88,8 +76,6 @@ def naive_member(g, fam):
         return True
     if isinstance(fam, Forb):
         return not any(brute_embeds_induced(p, g) for p in fam.patterns)
-    if isinstance(fam, ForbBigraph):
-        return not any(brute_embeds_bigraph(p, g) for p in fam.patterns)
     if isinstance(fam, HST):
         kinds = ["independent"] * fam.s + ["clique"] * fam.t
         return _naive_partition(g, kinds, lambda part, kind: _homog(g, part, kind))
@@ -203,18 +189,15 @@ def bfs_subset_orbits(n, generators, masks=None):
     return reps
 
 
-def brute_first_embedding(pattern, host, pin=None, side=None):
+def brute_first_embedding(pattern, host, pin=None):
     """The first image tuple in itertools.permutations order, which is the
     lexicographically least witness, under which host induces pattern.
 
     image[v] is the host vertex of pattern vertex v.  pin = (v, w) demands
-    image[v] == w.  side, a set of pattern vertices, limits the check to
-    pairs with exactly one end in it (bigraph mode).  None when no image
-    works.
+    image[v] == w.  None when no image works.
     """
     k = pattern.n
-    pairs = [(u, v) for u in range(k) for v in range(u + 1, k)
-             if side is None or (u in side) != (v in side)]
+    pairs = list(combinations(range(k), 2))
     for image in permutations(range(host.n), k):
         if pin is not None and image[pin[0]] != pin[1]:
             continue

@@ -5,8 +5,8 @@ import pytest
 
 from hfspeed.canon import canonical_graph
 from hfspeed.enumeration import (
-    DeltaReport, SpeedTable, enumerate_family, family_members,
-    labeled_count_direct, one_vertex_extensions, speed_delta,
+    DeltaReport, SpeedTable, enumerate_family, labeled_count_direct,
+    speed_delta,
 )
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
@@ -89,10 +89,6 @@ class TestMembers:
             for g in ms:
                 assert canonical_graph(g) == g
                 assert not brute_embeds_induced(k3, g)
-
-    def test_family_members_helper(self):
-        ms = family_members(HST(2, 0), 4)
-        assert len(ms) == 7
 
 
 class TestValidation:
@@ -273,18 +269,6 @@ class TestCheckpoints:
         second = enumerate_family(fam, 6, checkpoint_dir=str(ck))
         assert levels == []
         assert first.members == second.members == fresh.members
-
-
-class TestExtensions:
-    def test_k2_inside_iota_k3(self):
-        exts = one_vertex_extensions(complete(2), Iota(complete(3)))
-        assert exts == [complete(3)]
-
-    def test_extension_masks_ascend(self):
-        exts = one_vertex_extensions(path(2), ALL)
-        assert len(exts) == 4
-        seen = [g.rows[2] for g in exts]
-        assert seen == sorted(seen)
 
 
 class TestSpeedDelta:

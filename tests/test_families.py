@@ -5,20 +5,23 @@ import hashlib
 import pytest
 
 import hfspeed as hf
-from hfspeed import graph6
+from hfspeed import graph6, parse_family
+from hfspeed.enumeration import FORMAT_VERSION
 from hfspeed.errors import (
     ResourceLimitError, UnsupportedOperationError, ValidationError,
 )
 from hfspeed.families import (
     ALL, DEFAULT_NODE_BUDGET, Apex, Budget, C, ComplementFamily,
-    DisjointUnionFam, Forb, ForbBigraph, HST, IntersectionFam, Iota, JoinFam,
+    DisjointUnionFam, Forb, HST, IntersectionFam, Iota, JoinFam,
     M, PartitionCertificate, PartitionProduct, S, UnionFam, family_contains,
     graph_from_name, graph_name,
 )
 from hfspeed.graphs import (
-    Bigraph, Graph, add_vertex, complete, cycle, edgeless, induced_subgraph,
+    Graph, add_vertex, complete, cycle, edgeless, induced_subgraph,
     matching, path, star,
 )
+from hfspeed.stars import Constellation, PJFamily, StarSystem
+from hfspeed.structure import ReducedFamily
 from oracles import all_labeled_graphs, naive_member, verify_partition_certificate
 
 
@@ -28,7 +31,6 @@ def battery():
         S, C, M, ALL,
         Forb([complete(3)]),
         Forb([path(4), matching(2)]),
-        ForbBigraph([Bigraph(1, 2, [(0, 0), (0, 1)])]),
         HST(2, 0), HST(1, 1), HST(0, 2), HST(2, 1),
         PartitionProduct([M, S]),
         PartitionProduct([M, C]),
@@ -263,13 +265,126 @@ class TestValidationAndFlags:
         assert HST(2, 0) != HST(0, 2)
         assert PartitionProduct([S, C]) != PartitionProduct([C, S])
 
+    def test_constructors_refuse_mistyped_fields(self):
+        # each used to build, or to fail with a TypeError, or to print
+        # differently from a family it equals
+        k3 = Forb([complete(3)])
+        for build in (
+            lambda: UnionFam(S, 3),
+            lambda: IntersectionFam(S, "x"),
+            lambda: HST(True, 0),
+            lambda: HST("1", 0),
+            lambda: HST(2, -1),
+            lambda: ReducedFamily(k3, 1.5),
+            lambda: ReducedFamily(k3, 0),
+            lambda: ReducedFamily(HST(2, 0), 1),
+            lambda: Forb(complete(3)),
+            lambda: Forb([complete(3), "K3"]),
+            lambda: PartitionProduct([]),
+            lambda: PartitionProduct([S, complete(2)]),
+            lambda: Iota("C5"),
+            lambda: ComplementFamily(complete(3)),
+            lambda: PJFamily(S),
+        ):
+            with pytest.raises(ValidationError):
+                build()
+
+    def test_key_text_and_checkpoint_stem_pins(self):
+        # checkpoint names hash key() and transcripts hash text(), so
+        # neither may move; recorded before constructors declared fields
+        fams = [parse_family(e) for e in (
+            "S", "C", "M", "ALL", "forb(K13, g6:DQc)", "H(2, 1)",
+            "P(M, iota(P4), S)", "iota(C5)", "apex(co(M))", "co(M)",
+            "du(C, forb(K3))", "join(S, H(1, 1))", "(S or C)",
+            "(H(2, 0) and forb(C4))",
+            "P(apex(C), (S or du(C, join(iota(E2), M))), (co(S) and H(0, 2)))",
+        )]
+        fams += [ReducedFamily(Forb([cycle(5)]), 1),
+                 ReducedFamily(Forb([cycle(5)]), 2),
+                 PJFamily(StarSystem(complete(1), (1,), 0)),
+                 PJFamily(Constellation(path(3), (0, 0, 1), (1, 0, 1), (1, 0)))]
+        got = [(f.text(), f.key(), hashlib.sha256(
+            repr((FORMAT_VERSION, f.key())).encode()).hexdigest()[:16])
+            for f in fams]
+        assert got == KEY_TEXT_STEM_PINS
+
     def test_pickle_roundtrip(self):
         import pickle
-        for fam in battery():
+        extra = [ReducedFamily(Forb([cycle(5)]), 2),
+                 PJFamily(Constellation(path(3), (0, 0, 1), (1, 0, 1), (1, 0)))]
+        for fam in battery() + extra:
             blob = pickle.dumps(fam)
             back = pickle.loads(blob)
             assert back == fam
+            assert hash(back) == hash(fam)
+            assert back.text() == fam.text()
             assert back.contains(path(3)) == fam.contains(path(3))
+
+
+KEY_TEXT_STEM_PINS = [
+    ("S",
+     ("S",),
+     "8ef8cfd2e37420f6"),
+    ("C",
+     ("C",),
+     "4b3f8e0b5042bc36"),
+    ("M",
+     ("M",),
+     "6a45ea020e88ebc5"),
+    ("ALL",
+     ("ALL",),
+     "8c1eca305bf3af56"),
+    ("forb(K13, g6:DQc)",
+     ("forb", (4, (14, 1, 1, 1)), (5, (20, 8, 1, 18, 9))),
+     "b5e72d6b2a8986d0"),
+    ("H(2, 1)",
+     ("H", 2, 1),
+     "01a8204e287d910e"),
+    ("P(M, iota(P4), S)",
+     ("P", ("M",), ("iota", 4, (2, 5, 10, 4)), ("S",)),
+     "b983421360b95de5"),
+    ("iota(C5)",
+     ("iota", 5, (18, 5, 10, 20, 9)),
+     "b1541b39ff545836"),
+    ("apex(co(M))",
+     ("apex", ("co", ("M",))),
+     "a7d651f05fd2b09f"),
+    ("co(M)",
+     ("co", ("M",)),
+     "4bc7ec0ad30ee7f0"),
+    ("du(C, forb(K3))",
+     ("du", ("C",), ("forb", (3, (6, 5, 3)))),
+     "d94cc83eeb4a9d58"),
+    ("join(S, H(1, 1))",
+     ("join", ("S",), ("H", 1, 1)),
+     "a52300a46499cbf1"),
+    ("(S or C)",
+     ("or", ("S",), ("C",)),
+     "3001b34d2f0b6179"),
+    ("(H(2, 0) and forb(C4))",
+     ("and", ("H", 2, 0), ("forb", (4, (10, 5, 10, 5)))),
+     "7204ee9473e7df76"),
+    ("P(apex(C), (S or du(C, join(iota(2K1), M))), (co(S) and H(0, 2)))",
+     ("P",
+      ("apex", ("C",)),
+      ("or",
+       ("S",),
+       ("du", ("C",), ("join", ("iota", 2, (0, 0)), ("M",)))),
+      ("and", ("co", ("S",)), ("H", 0, 2))),
+     "88b9508cac5c32f7"),
+    ("red(forb(C5))",
+     ("red", ("forb", (5, (18, 5, 10, 20, 9))), 1),
+     "9ee5ca759dffa90d"),
+    ("red(forb(C5))",
+     ("red", ("forb", (5, (18, 5, 10, 20, 9))), 2),
+     "8e300c5eb563c9d7"),
+    ("pj(@;0;1;0)",
+     ("pj", 1, (0,), (0,), (1,), (0,)),
+     "3b56361189013a65"),
+    ("pj(Bg;001;101;10)",
+     ("pj", 3, (2, 5, 2), (0, 0, 1), (1, 0, 1), (1, 0)),
+     "1657efb87b97694d"),
+]
 
 
 class TestGraphNames:

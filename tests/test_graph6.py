@@ -74,9 +74,3 @@ def test_invalid_inputs():
         graph6.decode("B\x1f\x1f")  # bytes below the printable range
     with pytest.raises(ValidationError):
         graph6.decode("@w")         # nonzero padding for n=1
-
-
-def test_iter_decode():
-    text = ["Bw", "", "B?", "   "]
-    gs = list(graph6.iter_decode(text))
-    assert gs == [complete(3), edgeless(3)]

@@ -1,17 +1,16 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from hfspeed.errors import CapacityError, ValidationError
 from hfspeed.graphs import (
-    Bigraph, Graph, bits, co_components, complement, complete,
-    complete_bipartite, components, contains_induced, cycle, delete_vertex,
-    disjoint_union, edgeless, find_bigraph_embedding, find_induced_embedding,
-    homogeneous_decomposition, induced_subgraph, is_clique_mask,
+    Graph, bits, co_components, complement, complete, complete_bipartite,
+    components, contains_induced, cycle, delete_vertex, disjoint_union,
+    edgeless, find_induced_embedding, induced_subgraph, is_clique_mask,
     is_independent_mask, join, mask_of, matching, path, relabel, star,
 )
-from oracles import all_labeled_graphs, brute_embeds_bigraph, brute_embeds_induced
+from oracles import all_labeled_graphs, brute_embeds_induced
 
 
 def graphs_strategy(max_n=8):
@@ -138,73 +137,3 @@ class TestEmbeddings:
                 assert (got is not None) == want
                 if got is not None:
                     assert induced_subgraph(h, got) == p
-
-    def test_bigraph_embedding_semantics(self):
-        edge = Bigraph(1, 1, [(0, 0)])
-        nonedge = Bigraph(1, 1, [])
-        assert find_bigraph_embedding(edge, complete(2)) == ((0,), (1,))
-        assert find_bigraph_embedding(edge, edgeless(2)) is None
-        assert find_bigraph_embedding(nonedge, complete(2)) is None
-        assert find_bigraph_embedding(nonedge, edgeless(2)) == ((0,), (1,))
-        # within-side pairs are unconstrained: C4 hosts the 2x2 full bigraph
-        full22 = Bigraph(2, 2, [(0, 0), (0, 1), (1, 0), (1, 1)])
-        assert find_bigraph_embedding(full22, cycle(4)) is not None
-        assert find_bigraph_embedding(full22, complete(4)) is not None
-
-    def test_bigraph_matches_brute_force(self):
-        pats = [Bigraph(1, 2, es) for es in ([], [(0, 0)], [(0, 0), (0, 1)])]
-        pats += [Bigraph(2, 1, [(0, 0)]), Bigraph(2, 2, [(0, 0), (1, 1)])]
-        for pat in pats:
-            for h in all_labeled_graphs(4):
-                got = find_bigraph_embedding(pat, h)
-                assert (got is not None) == brute_embeds_bigraph(pat, h)
-                if got is not None:
-                    am, bm = got
-                    for i in range(pat.a):
-                        for j in range(pat.b):
-                            assert h.has_edge(am[i], bm[j]) == bool(
-                                pat.cross[i] >> j & 1)
-
-    def test_bigraph_between(self):
-        g = cycle(4)
-        bg = Bigraph.between(g, [0, 2], [1, 3])
-        assert bg.cross == (0b11, 0b11)
-
-
-class TestHomogeneousDecomposition:
-    def test_complete_graph(self):
-        parts, rest = homogeneous_decomposition(complete(6), 2)
-        assert len(parts) == 3 and rest == 0
-        assert all(kind == "clique" for kind, _ in parts)
-
-    def test_cycle5(self):
-        parts, rest = homogeneous_decomposition(cycle(5), 2)
-        assert len(parts) == 2 and rest.bit_count() == 1
-        g = cycle(5)
-        for kind, m in parts:
-            assert m.bit_count() == 2
-            assert is_clique_mask(g, m) if kind == "clique" else is_independent_mask(g, m)
-
-    @given(graphs_strategy(9), st.integers(1, 3))
-    @settings(max_examples=40)
-    def test_parts_are_valid(self, g, r):
-        parts, rest = homogeneous_decomposition(g, r)
-        covered = rest
-        for kind, m in parts:
-            assert m.bit_count() == r
-            assert m & covered == 0
-            covered |= m
-            if kind == "clique":
-                assert is_clique_mask(g, m)
-            else:
-                assert is_independent_mask(g, m)
-        assert covered == g.full_mask()
-        assert rest.bit_count() < r or not any(
-            is_clique_mask(g, c) or is_independent_mask(g, c)
-            for c in _subsets_of_size(rest, r))
-
-
-def _subsets_of_size(mask, r):
-    from itertools import combinations
-    vs = list(bits(mask))
-    return (mask_of(c) for c in combinations(vs, r))

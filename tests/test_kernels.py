@@ -12,11 +12,10 @@ import random
 
 from hfspeed.enumeration import enumerate_family
 from hfspeed.errors import ResourceLimitError
-from hfspeed.families import ALL, Forb, ForbBigraph, Iota
+from hfspeed.families import ALL, Forb, Iota
 from hfspeed.graphs import (
-    Bigraph, Graph, _embed, complement, complete, copies, cycle, edgeless,
-    find_bigraph_embedding, find_induced_embedding, induced_subgraph, path,
-    relabel, star,
+    Graph, _embed, complement, complete, copies, cycle, edgeless,
+    find_induced_embedding, induced_subgraph, path, relabel, star,
 )
 from hfspeed.stars import (
     Constellation, StarSystem, constellation_host, find_template,
@@ -48,22 +47,6 @@ def test_pinned_first_witness_matches_brute_force():
                     assert got == want, (p, h, pv, hv)
 
 
-def test_bigraph_first_witness_matches_brute_force():
-    for p in PATTERNS:
-        for a in range(p.n + 1):
-            side = set(range(a))
-            cross = [(i, j) for i in range(a) for j in range(p.n - a)
-                     if p.rows[i] >> (a + j) & 1]
-            if any(p.rows[u] >> v & 1 for u in range(p.n)
-                   for v in range(p.n) if (u in side) == (v in side)):
-                continue  # one bigraph per cross pattern: sides edgeless
-            pat = Bigraph(a, p.n - a, cross)
-            for h in HOSTS:
-                want = brute_first_embedding(p, h, side=side)
-                got = find_bigraph_embedding(pat, h)
-                assert got == (None if want is None else (want[:a], want[a:]))
-
-
 # ---------------------------------------------------------------------------
 # pinned battery
 
@@ -78,8 +61,6 @@ CONSTELLATIONS = [
 ]
 FORBS = [Forb([complete(3)]), Forb([cycle(4), path(4)]),
          Forb([copies(2, complete(2)), cycle(5)]), Forb([star(3)])]
-BIGRAPHS = ForbBigraph([Bigraph(2, 2, [(0, 0), (1, 1)]),
-                        Bigraph(1, 3, [(0, 0), (0, 1)])])
 
 
 def _hosts():
@@ -119,14 +100,12 @@ def _template_nodes(g, c):
 def _battery():
     """Search results per kind: (witness or certificate, nodes) rows."""
     hosts = _hosts()
-    rows = {"forb": [], "bigraph": [], "iota": [], "pj": [], "template": []}
+    rows = {"forb": [], "iota": [], "pj": [], "template": []}
     for g in hosts:
         for f in FORBS:
             for anchored in (False, True):
                 r = f.membership(g, new_vertex_only=anchored)
                 rows["forb"].append((r.certificate, r.nodes))
-        r = BIGRAPHS.membership(g)
-        rows["bigraph"].append((r.certificate, r.nodes))
         for c in CONSTELLATIONS:
             r = is_member_PJ(g, c)
             rows["pj"].append((r.certificate, r.nodes))
@@ -148,7 +127,6 @@ def _digest(rows):
 
 # recorded before the searches moved onto the shared kernels
 PINNED = {
-    "bigraph": (16, 12, 143, "fa3f81b18e030286"),
     "forb": (128, 56, 1341, "dc718b4ce8da28e9"),
     "iota": (80, 18, 455, "894997aee2af9c6f"),
     "pj": (96, 43, 7796, "74a65ab99490c8d4"),
