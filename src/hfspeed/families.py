@@ -39,7 +39,6 @@ from .graphs import (
     mask_of,
     path,
     star,
-    subgraph_on_mask,
 )
 
 DEFAULT_NODE_BUDGET = 10_000_000
@@ -543,7 +542,7 @@ class PartitionProduct(Family):
         def part_ok(i, mask):
             got = memo.get((i, mask))
             if got is None:
-                sub = fs[i].membership(subgraph_on_mask(g, mask), budget)
+                sub = fs[i].membership(induced_subgraph(g, bits(mask)), budget)
                 memo[(i, mask)] = sub
                 return sub
             return got
@@ -687,10 +686,10 @@ def _split_decide(g, budget, blocks, fl, fr, kind):
                 lmask |= blocks[i]
             else:
                 rmask |= blocks[i]
-        lres = fl.membership(subgraph_on_mask(g, lmask), budget)
+        lres = fl.membership(induced_subgraph(g, bits(lmask)), budget)
         if not lres.member:
             continue
-        rres = fr.membership(subgraph_on_mask(g, rmask), budget)
+        rres = fr.membership(induced_subgraph(g, bits(rmask)), budget)
         if rres.member:
             return True, (kind, tuple(bits(lmask)), tuple(bits(rmask)),
                           lres.certificate, rres.certificate)

@@ -103,20 +103,26 @@ class Graph:
 
 
 def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Subgraph induced on `vertices`; their order fixes the new labels."""
+    """Subgraph induced on `vertices`, whose order fixes the new labels;
+    row bits map through {1 << u: 1 << label}.  Repeats are refused."""
     vs = list(vertices)
-    if len(set(vs)) != len(vs):
-        raise ValidationError("repeated vertex in induced_subgraph")
-    rows = [0] * len(vs)
+    label = {}
+    vmask = 0
     for i, u in enumerate(vs):
-        for j, v in enumerate(vs):
-            if i != j and g.rows[u] >> v & 1:
-                rows[i] |= 1 << j
+        label[1 << u] = 1 << i
+        vmask |= 1 << u
+    if len(label) != len(vs):
+        raise ValidationError("repeated vertex in induced_subgraph")
+    rows = []
+    for u in vs:
+        m = g.rows[u] & vmask
+        r = 0
+        while m:
+            x = m & -m
+            r |= label[x]
+            m ^= x
+        rows.append(r)
     return Graph.from_rows(rows)
-
-
-def subgraph_on_mask(g: Graph, mask: int) -> Graph:
-    return induced_subgraph(g, bits(mask))
 
 
 def delete_vertex(g: Graph, v: int) -> Graph:
@@ -322,7 +328,3 @@ def find_induced_embedding(pattern: Graph, host: Graph):
     Returns a tuple, or None.
     """
     return _embed(pattern.rows, host, range(pattern.n))
-
-
-def contains_induced(host: Graph, pattern: Graph) -> bool:
-    return find_induced_embedding(pattern, host) is not None

@@ -30,7 +30,9 @@ from itertools import combinations, combinations_with_replacement
 from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
-from .graphs import Graph, _embed, bits, delete_vertex, mask_of
+from .graphs import (
+    Graph, _embed, bits, delete_vertex, induced_subgraph, mask_of,
+)
 from . import graph6
 
 
@@ -233,7 +235,6 @@ class Constellation:
 
     def system(self, i: int) -> StarSystem:
         vs = self.fiber(i)
-        from .graphs import induced_subgraph
         return StarSystem(induced_subgraph(self.j, vs),
                           tuple(self.alpha[v] for v in vs), self.beta[i])
 
@@ -368,10 +369,8 @@ def verify_template(g: Graph, c, t: Template) -> bool:
     for v in range(k):
         if t.psi[v] not in t.parts[c.phi[v]]:
             return False
-    for u in range(k):
-        for v in range(u + 1, k):
-            if (c.j.rows[u] >> v & 1) != (g.rows[t.psi[u]] >> t.psi[v] & 1):
-                return False
+    if induced_subgraph(g, t.psi).rows != c.j.rows:
+        return False
     z = set(t.psi)
     for v in range(k):
         for w in t.parts[c.phi[v]]:
@@ -418,59 +417,59 @@ def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
     images, or None.
 
     pairs lists (core vertex, g vertex) for the embedded part of the
-    core.  A vertex may join part i only if it meets every embedded core
-    vertex of fiber i as alpha says.  Vertices are assigned in label
-    order and each crown stays a clique or an independent set per beta.
-    Parts with no embedded core and equal beta are interchangeable while
-    empty, so only the first such part is tried.  One budget node is
-    spent per recursion step.
+    core.  Only the vertices in ok[i], those meeting every embedded core
+    vertex of fiber i as alpha says, may join part i; a vertex in no
+    ok[i] rejects at once.  Vertices are assigned lowest bit first and
+    each crown stays a clique or an independent set per beta.  Parts
+    outside the `cored` mask with equal beta are interchangeable while
+    empty, so only the first is tried.  One budget node per recursion step.
     """
-    l, grow = c.l, g.rows
-    by_part = [[] for _ in range(l)]
-    image = 0
+    phi, alpha, beta = c.phi, c.alpha, c.beta
+    l, grow = len(beta), g.rows
+    rest = (1 << g.n) - 1
+    ok = [rest] * l
+    cored = 0
     for v, w in pairs:
-        by_part[c.phi[v]].append((w, c.alpha[v]))
-        image |= 1 << w
-    rest = [w for w in range(g.n) if not image >> w & 1]
-    allowed = []
-    for w in rest:
-        m = 0
-        for i in range(l):
-            if all((grow[w] >> sv & 1) == a for sv, a in by_part[i]):
-                m |= 1 << i
-        if not m:
-            return None
-        allowed.append(m)
+        i = phi[v]
+        ok[i] &= grow[w] if alpha[v] else ~grow[w]
+        cored |= 1 << i
+        rest &= ~(1 << w)
+    any_ok = 0
+    for m in ok:
+        any_ok |= m
+    if rest & ~any_ok:
+        return None
     crowns = [0] * l
 
-    def rec(idx):
+    def rec(todo):
         budget.spend()
-        if idx == len(rest):
+        if not todo:
             return True
-        w = rest[idx]
-        b = 1 << w
+        b = todo & -todo
+        row = grow[b.bit_length() - 1]
+        todo ^= b
         tried_empty = 0
         for i in range(l):
-            if not allowed[idx] >> i & 1:
+            if not ok[i] & b:
                 continue
             crown = crowns[i]
-            if not crown and not by_part[i]:
-                tb = 1 << c.beta[i]
+            if not crown and not cored >> i & 1:
+                tb = 1 << beta[i]
                 if tried_empty & tb:
                     continue
                 tried_empty |= tb
-            if c.beta[i]:
-                if grow[w] & crown != crown:
+            if beta[i]:
+                if row & crown != crown:
                     continue
-            elif grow[w] & crown:
+            elif row & crown:
                 continue
-            crowns[i] |= b
-            if rec(idx + 1):
+            crowns[i] = crown | b
+            if rec(todo):
                 return True
-            crowns[i] ^= b
+            crowns[i] = crown
         return False
 
-    return crowns if rec(0) else None
+    return crowns if rec(rest) else None
 
 
 def _pj_search(g: Graph, c: Constellation, wsets, budget: Budget):
@@ -552,53 +551,53 @@ def verify_pj_certificate(g: Graph, c, cert) -> bool:
     to match J exactly and to each in-g crown per alpha; the template
     it should admit is then checked bullet by bullet via
     verify_template, plus g must come back as the induced subgraph on
-    its own labels.
+    its own labels.  A malformed certificate is False, never an error.
     """
     c = _as_constellation(c)
-    if not (isinstance(cert, tuple) and len(cert) == 3 and cert[0] == "pj"):
+    seqs = (tuple, list)
+    if not (isinstance(cert, tuple) and len(cert) == 3 and cert[0] == "pj"
+            and isinstance(cert[1], seqs) and isinstance(cert[2], seqs)):
         return False
     _, pairs, part_of = cert
     k, n = c.j.n, g.n
-    if len(part_of) != n or any(not 0 <= i < c.l for i in part_of):
+    if not (len(part_of) == n and _all_below(part_of, c.l)
+            and all(isinstance(p, seqs) and len(p) == 2 for p in pairs)
+            and _all_below((v for v, _ in pairs), k)
+            and _all_below((w for _, w in pairs), n)):
         return False
     inside = dict(pairs)
     if len(inside) != len(pairs):
         return False
-    for v, w in pairs:
-        if not (0 <= v < k and 0 <= w < n):
-            return False
     missing = [v for v in range(k) if v not in inside]
-    rows = list(g.rows)
-    host_label = {}
-    for off, v in enumerate(missing):
-        host_label[v] = n + off
-        rows.append(0)
+    place = {v: n + off for off, v in enumerate(missing)}
+    place.update(inside)
+    rows = list(g.rows) + [0] * len(missing)
     zs = set(inside.values())
     for v in missing:
-        x = host_label[v]
-        for u in range(k):
-            if not c.j.rows[v] >> u & 1:
-                continue
-            y = inside[u] if u in inside else host_label[u]
-            rows[x] |= 1 << y
-            rows[y] |= 1 << x
+        x = place[v]
+        for u in bits(c.j.rows[v]):
+            rows[x] |= 1 << place[u]
+            rows[place[u]] |= 1 << x
         if c.alpha[v]:
             for w in range(n):
                 if part_of[w] == c.phi[v] and w not in zs:
                     rows[x] |= 1 << w
                     rows[w] |= 1 << x
     host = Graph.from_rows(rows)
-    psi = [inside[v] if v in inside else host_label[v] for v in range(k)]
     parts = [[] for _ in range(c.l)]
     for w in range(n):
         parts[part_of[w]].append(w)
     for v in missing:
-        parts[c.phi[v]].append(host_label[v])
-    t = Template(psi, [tuple(sorted(p)) for p in parts])
+        parts[c.phi[v]].append(place[v])
+    t = Template([place[v] for v in range(k)],
+                 [tuple(sorted(p)) for p in parts])
     if not verify_template(host, c, t):
         return False
-    from .graphs import induced_subgraph
     return induced_subgraph(host, range(n)) == g
+
+
+def _all_below(xs, hi) -> bool:
+    return all(isinstance(x, int) and 0 <= x < hi for x in xs)
 
 
 # P(J)'s field: key (n, rows, phi, alpha, beta), text g6;phi;alpha;beta

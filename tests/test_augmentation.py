@@ -16,9 +16,12 @@ import pytest
 
 from hfspeed.enumeration import _child_records, enumerate_family
 from hfspeed.families import Forb, HST
+from hfspeed.graph6 import decode
 from hfspeed.graphs import (
     Graph, add_vertex, complete, cycle, induced_subgraph, matching,
 )
+from hfspeed.stars import Constellation, PJFamily
+from hfspeed.structure import ReducedFamily
 from oracles import (
     all_reps_child_records, double_count_labeled, naive_member,
 )
@@ -99,5 +102,19 @@ def test_members_digest(fam):
 def test_double_count(fam):
     table = _table8(fam)
     for n in range(8):
+        assert (double_count_labeled(fam, table.members[n], n)
+                == table.labeled[n + 1]), n
+
+
+# P(J) with a two-vertex core (A?;01;11;00), DOM's P(J) (@;0;1;0) and a
+# reduced family, each to the largest n its membership keeps cheap
+@pytest.mark.parametrize("fam, top", [
+    (PJFamily(Constellation(decode("A?"), (0, 1), (1, 1), (0, 0))), 7),
+    (PJFamily(Constellation(decode("@"), (0,), (1,), (0,))), 8),
+    (ReducedFamily(Forb([cycle(5)]), 2), 7),
+], ids=["pj(A?;01;11;00)", "pj(@;0;1;0)", "red(forb(C5)),l=2"])
+def test_double_count_pj_and_reduced(fam, top):
+    table = enumerate_family(fam, top)
+    for n in range(top):
         assert (double_count_labeled(fam, table.members[n], n)
                 == table.labeled[n + 1]), n

@@ -14,9 +14,9 @@ from hfspeed.enumeration import enumerate_family, labeled_count_direct
 from hfspeed.errors import CapacityError, ResourceLimitError, ValidationError
 from hfspeed.families import ALL, HST
 from hfspeed.graphs import (
-    Graph, complement, complete, contains_induced, cycle, delete_vertex,
-    disjoint_union, edgeless, induced_subgraph, is_clique_mask,
-    is_independent_mask, join, matching, path, star,
+    Graph, complement, complete, cycle, delete_vertex,
+    disjoint_union, edgeless, find_induced_embedding, induced_subgraph,
+    is_clique_mask, is_independent_mask, join, matching, path, star,
 )
 from hfspeed.stars import (
     Constellation, PJFamily, StarSystem, Template, constellation_host,
@@ -383,7 +383,8 @@ class TestMembership:
             admitting = [h for h in hosts if find_template(h, c) is not None]
             for g in small_graphs(4):
                 direct = is_member_PJ(g, c)
-                oracle = any(contains_induced(h, g) for h in admitting)
+                oracle = any(find_induced_embedding(g, h) is not None
+                             for h in admitting)
                 assert direct.member == oracle, (c.to_json(), g.rows)
                 if direct.member:
                     assert verify_pj_certificate(g, c, direct.certificate)
@@ -395,6 +396,18 @@ class TestMembership:
         r = is_member_PJ(complete(3), DOM)
         assert r.certificate is None and r.transcript_hash
         assert r.nodes > 0
+
+    def test_malformed_certificates_are_false(self):
+        g = star(3)
+        _, pairs, part_of = is_member_PJ(g, DOM).certificate
+        assert verify_pj_certificate(g, DOM, ("pj", pairs, part_of))
+        bad = [("pj", "ab", part_of), ("pj", ((0,),), part_of),
+               ("pj", None, part_of), ("pj", ((0, 0.0),), part_of),
+               ("pj", ((0.0, 0),), part_of), ("pj", pairs, None),
+               ("pj", pairs, ("0",) + part_of[1:]),
+               ("pj", pairs, (0.0,) + part_of[1:])]
+        for cert in bad:
+            assert verify_pj_certificate(g, DOM, cert) is False, cert
 
     def test_transcript_hash_matches_eager_formula(self):
         r = is_member_PJ(complete(3), DOM)
