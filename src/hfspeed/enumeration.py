@@ -31,6 +31,7 @@ exploit that.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import pickle
@@ -45,7 +46,8 @@ from .graphs import Graph, add_vertex
 from . import graph6
 
 ENUM_MAX_N = 16
-# bump when the checkpoint payload changes shape; old files are then ignored
+# part of every checkpoint header: bump it when the level records change
+# shape, and files of another version fail the check and are recomputed
 FORMAT_VERSION = 1
 
 
@@ -172,16 +174,30 @@ def _write_atomic(path, write):
             os.remove(tmp)
 
 
-def _read_checkpoint(path, n):
-    """The (unlabeled, labeled, level) payload of level n, or None when
-    the file is missing, truncated or unreadable: the level is then
-    recomputed."""
+class _PlainUnpickler(pickle.Unpickler):
+    """Loads tuples, lists, strings, ints and bytes, and refuses anything
+    that names a class or a function, so reading a checkpoint runs no
+    code (the "restricting globals" recipe of the pickle docs)."""
+
+    def find_class(self, module, name):
+        raise pickle.UnpicklingError(f"{module}.{name} is not plain data")
+
+
+def _read_level(path, header):
+    """The records of a level file, or None when it is missing, damaged,
+    not plain data or another family's or level's: the level is then
+    recomputed.  The digest is checked before anything is unpickled,
+    because one flipped byte can make even a plain-data load allocate
+    gigabytes (a memo index)."""
     try:
         with open(path, "rb") as fh:
-            unlabeled, labeled, level = pickle.load(fh)
-        if len(unlabeled) == len(labeled) == n + 1:
-            return unlabeled, labeled, level
-    except (OSError, EOFError, pickle.UnpicklingError, ValueError, TypeError):
+            data = fh.read()
+        body = data[:-32]
+        if hashlib.sha256(body).digest() == data[-32:]:
+            head, recs = _PlainUnpickler(io.BytesIO(body)).load()
+            if head == header:
+                return recs
+    except (OSError, pickle.UnpicklingError, ValueError, TypeError):
         pass
     return None
 
@@ -201,20 +217,46 @@ def _worker_chunk(args):
     return _child_records(_WORKER_FAMILY, parents, n, _WORKER_BUDGET)
 
 
+def _level_records(f, n, below, budget_limit, pool, threads):
+    """The records of level n, sorted by rows, computed from the records
+    of level n - 1 (none for n = 0)."""
+    if n == 0:
+        empty = Graph(0)
+        try:
+            member0 = f.membership(empty, Budget(budget_limit))
+        except ResourceLimitError as e:
+            raise _budget_error(f, empty, e) from e
+        return [(empty.rows, (), 1)] if member0.member else []
+    parents = [(rows, gens) for rows, gens, _ in below]
+    if pool is not None and len(parents) > 1:
+        chunk = max(1, len(parents) // (threads * 4))
+        tasks = [(parents[i:i + chunk], n - 1)
+                 for i in range(0, len(parents), chunk)]
+        recs = []
+        for part in pool.imap(_worker_chunk, tasks):
+            recs.extend(part)
+    else:
+        recs = _child_records(f, parents, n - 1, budget_limit)
+    recs.sort(key=lambda r: r[0])
+    return recs
+
+
 def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                      threads: int = 1, keep_members: bool = True,
-                     checkpoint_dir: str | None = None, progress=None) -> SpeedTable:
+                     checkpoint_dir: str | None = None) -> SpeedTable:
     """Exhaustive unlabeled enumeration of f up to n_max vertices.
 
     Refuses families that are not hereditary by construction (the
     augmentation scheme would silently undercount).  threads > 1 fans the
     parent set out to a process pool; results are merged by sorted
     canonical encoding, so any worker count produces identical output.
-    Checkpoints, when enabled, are keyed by (hash of the format version and
-    the structural family key, n) and make reruns resume at the highest
-    completed level; a resumed run reads its lower members from the
-    per-level files.  Each file is written whole or not at all, and a
-    truncated or unreadable one counts as missing and is written again.
+    Checkpoints, when enabled, hold one file per level, named by a hash of
+    the format version and the structural family key: a pickle of the
+    header (that pair's repr, n) and the level's records, then its sha256.
+    A level is loaded when its digest and header match and it is plain
+    data, and is otherwise computed from the level below and written back
+    atomically.  Loaded records are not re-canonicalised, so a forged file
+    with a matching digest is taken on trust.
     An exhausted membership budget raises ResourceLimitError naming the
     family, the level and the graph being decided.
     """
@@ -227,96 +269,44 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     if threads < 1:
         raise ValidationError(f"threads must be >= 1, got {threads}")
 
-    ckpt_key = None
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
         ident = repr((FORMAT_VERSION, f.key()))
-        ckpt_key = hashlib.sha256(ident.encode()).hexdigest()[:16]
-
-    def ckpt_path(n):
-        return os.path.join(checkpoint_dir, f"enum-{ckpt_key}-{n:02d}.pkl")
-
-    def write_ckpt(n):
-        payload = (unlabeled, labeled, level)
-        _write_atomic(ckpt_path(n), lambda fh: pickle.dump(payload, fh))
-
-    empty = Graph(0)
-    start_n = 0
-    level = None
-    unlabeled, labeled = [], []
-    if ckpt_key:
-        for n in range(n_max, -1, -1):
-            payload = _read_checkpoint(ckpt_path(n), n)
-            if payload is not None:
-                unlabeled, labeled, level = payload
-                start_n = n
-                break
-    if level is None:
-        try:
-            member0 = f.membership(empty, Budget(budget_limit))
-        except ResourceLimitError as e:
-            raise _budget_error(f, empty, e) from e
-        level = [(empty.rows, ())] if member0.member else []
-        unlabeled = [len(level)]
-        labeled = [len(level)]
-        if ckpt_key:
-            write_ckpt(0)
-
-    members = None
-    if keep_members:
-        members = [None] * start_n + [[Graph.from_rows(r) for r, _ in level]]
-        # a resumed run finds its lower levels in their own checkpoints
-        for n in range(start_n):
-            payload = _read_checkpoint(ckpt_path(n), n)
-            if payload is None:
-                break
-            members[n] = [Graph.from_rows(r) for r, _ in payload[2]]
+        stem = hashlib.sha256(ident.encode()).hexdigest()[:16]
 
     pool = None
-    blob = None
     if threads > 1:
         import multiprocessing as mp
-        blob = pickle.dumps(f)
         pool = mp.get_context("fork").Pool(
-            threads, initializer=_init_worker, initargs=(blob, budget_limit))
+            threads, initializer=_init_worker,
+            initargs=(pickle.dumps(f), budget_limit))
 
+    unlabeled, labeled = [], []
+    members = [] if keep_members else None
+    recs = []
     try:
-        for n in range(start_n, n_max):
-            parents = level
-            if pool is not None and len(parents) > 1:
-                chunk = max(1, len(parents) // (threads * 4))
-                tasks = [(parents[i:i + chunk], n)
-                         for i in range(0, len(parents), chunk)]
-                recs = []
-                for part in pool.imap(_worker_chunk, tasks):
-                    recs.extend(part)
-            else:
-                recs = _child_records(f, parents, n, budget_limit)
-            recs.sort(key=lambda r: r[0])
-            level = [(rows, gens) for rows, gens, _ in recs]
+        for n in range(n_max + 1):
+            recs_below, recs = recs, None
+            if checkpoint_dir:
+                path = os.path.join(checkpoint_dir, f"enum-{stem}-{n:02d}.pkl")
+                recs = _read_level(path, (ident, n))
+            if recs is None:
+                recs = _level_records(f, n, recs_below, budget_limit, pool,
+                                      threads)
+                if checkpoint_dir:
+                    out = io.BytesIO()
+                    pickle.dump(((ident, n), recs), out)
+                    out.write(hashlib.sha256(out.getvalue()).digest())
+                    _write_atomic(path, lambda fh: fh.write(out.getvalue()))
             unlabeled.append(len(recs))
-            fact = math.factorial(n + 1)
+            fact = math.factorial(n)
             labeled.append(sum(fact // aut for _, _, aut in recs))
             if members is not None:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
-            if ckpt_key:
-                write_ckpt(n + 1)
-            if progress is not None:
-                progress(n + 1, len(recs))
     finally:
         if pool is not None:
             pool.close()
             pool.join()
-
-    if members is not None and any(m is None for m in members):
-        # a lower checkpoint file is missing or unreadable: rerun the lower
-        # levels into the same directory, which resumes below the damaged
-        # level and rewrites it, so later resumes find it whole
-        lower = enumerate_family(f, start_n - 1, budget_limit=budget_limit,
-                                 threads=threads, keep_members=True,
-                                 checkpoint_dir=checkpoint_dir)
-        for i in range(start_n):
-            members[i] = lower.members[i]
 
     return SpeedTable(f.text(), n_max, unlabeled, labeled, members)
 

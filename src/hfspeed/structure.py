@@ -212,31 +212,25 @@ class ReducedFamily(Family):
 
 
 def enumerate_reduced(f: Family, l: int, n_max: int, *,
-                      budget_limit: int | None = None, threads: int = 1,
-                      keep_members: bool = True,
-                      checkpoint_dir: str | None = None,
-                      verify_heredity: bool = True) -> SpeedTable:
-    """Exhaustive enumeration of red(f) up to n_max vertices.
+                      budget_limit: int | None = None,
+                      threads: int = 1) -> SpeedTable:
+    """Exhaustive enumeration of red(f) up to n_max vertices, members kept.
 
-    With verify_heredity (the default), every emitted member has each of
-    its one-vertex-deleted subgraphs re-checked as reduced; a violation
-    would invalidate the augmentation scheme itself, so it raises.
+    Every emitted member has each of its one-vertex-deleted subgraphs
+    re-checked as reduced; a violation would invalidate the augmentation
+    scheme itself, so it raises.
     """
     fam = ReducedFamily(f, l)
     table = enumerate_family(fam, n_max, budget_limit=budget_limit,
-                             threads=threads, keep_members=True,
-                             checkpoint_dir=checkpoint_dir)
-    if verify_heredity:
-        for n in range(1, n_max + 1):
-            for g in table.members[n]:
-                for v in range(g.n):
-                    if not is_reduced(delete_vertex(g, v), f, l,
-                                      budget_limit).reduced:
-                        raise RuntimeError(
-                            f"heredity of {fam.text()} fails at "
-                            f"{g!r} minus vertex {v}")
-    if not keep_members:
-        table.members = None
+                             threads=threads)
+    for n in range(1, n_max + 1):
+        for g in table.members[n]:
+            for v in range(g.n):
+                if not is_reduced(delete_vertex(g, v), f, l,
+                                  budget_limit).reduced:
+                    raise RuntimeError(
+                        f"heredity of {fam.text()} fails at "
+                        f"{g!r} minus vertex {v}")
     return table
 
 

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import pickle
 
 import pytest
 
@@ -141,6 +143,16 @@ class TestDeterminism:
         assert a == b
 
 
+class _MakesMarker:
+    """Unpickling one calls os.mkdir(path)."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return os.mkdir, (self.path,)
+
+
 class TestCheckpoints:
     def test_resume_matches_fresh(self, tmp_path):
         fam = HST(2, 0)
@@ -269,6 +281,73 @@ class TestCheckpoints:
         second = enumerate_family(fam, 6, checkpoint_dir=str(ck))
         assert levels == []
         assert first.members == second.members == fresh.members
+
+    def test_another_familys_files_are_not_loaded(self, tmp_path):
+        k3, h, ck = tmp_path / "k3", tmp_path / "h", tmp_path / "ck"
+        enumerate_family(Forb([complete(3)]), 5, checkpoint_dir=str(k3))
+        enumerate_family(HST(2, 0), 5, checkpoint_dir=str(h))
+        ck.mkdir()
+        # forb(K3)'s level files under H(2, 0)'s names
+        for src, dst in zip(sorted(os.listdir(k3)), sorted(os.listdir(h))):
+            (ck / dst).write_bytes((k3 / src).read_bytes())
+        resumed = enumerate_family(HST(2, 0), 5, checkpoint_dir=str(ck))
+        fresh = enumerate_family(HST(2, 0), 5)
+        assert resumed.to_csv() == fresh.to_csv()
+        assert resumed.members == fresh.members
+        for name in os.listdir(h):
+            assert (ck / name).read_bytes() == (h / name).read_bytes()
+
+    def test_loading_a_checkpoint_runs_no_code(self, tmp_path):
+        fam = Forb([complete(3)])
+        fresh_dir, ck = tmp_path / "fresh", tmp_path / "ck"
+        marker = tmp_path / "marker"
+        fresh = enumerate_family(fam, 5, checkpoint_dir=str(fresh_dir))
+        enumerate_family(fam, 5, checkpoint_dir=str(ck))
+        names = sorted(os.listdir(ck))
+        evil = pickle.dumps(_MakesMarker(str(marker)))
+        # a bare pickle, and one followed by its own sha256
+        (ck / names[2]).write_bytes(evil)
+        (ck / names[4]).write_bytes(evil + hashlib.sha256(evil).digest())
+        resumed = enumerate_family(fam, 5, checkpoint_dir=str(ck))
+        assert not marker.exists()
+        assert resumed.to_csv() == fresh.to_csv()
+        assert resumed.members == fresh.members
+        for name in names:
+            assert (ck / name).read_bytes() == (fresh_dir / name).read_bytes()
+
+    def test_damaged_level_is_recomputed_without_unpickling(
+            self, tmp_path, monkeypatch):
+        import hfspeed.enumeration as enumeration
+        fam = Forb([complete(3)])
+        fresh_dir, ck = tmp_path / "fresh", tmp_path / "ck"
+        fresh = enumerate_family(fam, 6, checkpoint_dir=str(fresh_dir))
+        enumerate_family(fam, 6, checkpoint_dir=str(ck))
+        name = sorted(os.listdir(ck))[4]
+        level4 = ck / name
+        data = bytearray(level4.read_bytes())
+        data[len(data) // 2] ^= 1  # one bit of one record
+        level4.write_bytes(bytes(data))
+        levels, loads = [], []
+        real = enumeration._child_records
+
+        def spy(family, parents, n, budget_limit):
+            levels.append(n)
+            return real(family, parents, n, budget_limit)
+
+        class CountingUnpickler(enumeration._PlainUnpickler):
+            def load(self):
+                loads.append(1)
+                return super().load()
+
+        monkeypatch.setattr(enumeration, "_child_records", spy)
+        monkeypatch.setattr(enumeration, "_PlainUnpickler", CountingUnpickler)
+        resumed = enumerate_family(fam, 6, checkpoint_dir=str(ck))
+        assert levels == [3]
+        # the six whole levels are unpickled, the damaged one is not
+        assert len(loads) == 6
+        assert level4.read_bytes() == (fresh_dir / name).read_bytes()
+        assert resumed.to_csv() == fresh.to_csv()
+        assert resumed.members == fresh.members
 
 
 class TestSpeedDelta:

@@ -1,6 +1,7 @@
 """hfspeed's public surface, pinned so that a name is added or removed
 on purpose."""
 
+import inspect
 import types
 
 import hfspeed
@@ -40,3 +41,15 @@ def test_public_names():
     got = sorted(n for n in dir(hfspeed) if not n.startswith("_")
                  and not isinstance(getattr(hfspeed, n), types.ModuleType))
     assert got == PUBLIC
+
+
+def test_enumeration_parameters():
+    # a knob of the enumerators is added or removed on purpose
+    def names(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert names(hfspeed.enumerate_family) == [
+        "f", "n_max", "budget_limit", "threads", "keep_members",
+        "checkpoint_dir"]
+    assert names(hfspeed.enumerate_reduced) == [
+        "f", "l", "n_max", "budget_limit", "threads"]
