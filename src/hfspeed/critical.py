@@ -40,9 +40,8 @@ from .errors import UnsupportedOperationError, ValidationError
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
                        Forb, HST, M, PartitionProduct, S)
 from .graphs import bits, complete, induced_subgraph
-from .stars import (Constellation, PJFamily, StarSystem,
-                    constellation_irreducible, generate_constellations,
-                    is_member_PJ, is_s_star)
+from .stars import (PJFamily, _as_constellation, constellation_irreducible,
+                    generate_constellations, is_member_PJ, is_s_star)
 from .structure import coloring_number, enumerate_reduced, is_balanced
 from . import graph6
 
@@ -471,9 +470,7 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
     bits.  k is the true core size, not a fitted slope; the drift is
     an honest measurement, not a regression.
     """
-    c = sys.as_constellation() if isinstance(sys, StarSystem) else sys
-    if not isinstance(c, Constellation):
-        raise ValidationError("expected a star system or constellation")
+    c = _as_constellation(sys)
     if not constellation_irreducible(c):
         raise ValidationError("speed drift needs an irreducible system")
     if l != c.l:

@@ -69,9 +69,6 @@ class SpeedTable:
         self.h_bits = [math.log2(c) if c > 0 else float("-inf")
                        for c in self.labeled]
 
-    def row(self, n):
-        return (n, self.unlabeled[n], self.labeled[n], self.h_bits[n])
-
     def to_csv(self) -> str:
         lines = ["n,unlabeled,labeled,h_bits"]
         for n in range(self.n_max + 1):

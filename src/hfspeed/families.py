@@ -27,6 +27,7 @@ from . import graph6
 from .graphs import (
     Graph,
     _embed,
+    _typed_parts,
     bits,
     complement,
     components,
@@ -407,7 +408,9 @@ class HST(Family):
                 return False, None
             masks = [mask_of(p) for p in cert.parts]
             return True, _hst_cert(masks[t:] + masks[:t], s, t)
-        masks = _hst_backtrack(g, s, t, budget)
+        full = g.full_mask()
+        masks = _typed_parts(g.rows, (0,) * s + (1,) * t, [full] * (s + t),
+                             0, full, budget)
         if masks is None:
             return False, None
         return True, _hst_cert(masks, s, t)
@@ -480,45 +483,6 @@ def _odd_cycle_support(g):
         seen |= nxt
         frontier = nxt
     return None
-
-
-def _hst_backtrack(g, s, t, budget):
-    """Least-vertex-first assignment; empty parts of equal type are
-    interchangeable so only the first of each type is tried."""
-    n = g.n
-    rows = g.rows
-    parts = [0] * (s + t)
-
-    def rec(v):
-        budget.spend()
-        if v == n:
-            return True
-        b = 1 << v
-        empty_indep = empty_clique = False
-        for i in range(s + t):
-            p = parts[i]
-            if p == 0:
-                if i < s:
-                    if empty_indep:
-                        continue
-                    empty_indep = True
-                else:
-                    if empty_clique:
-                        continue
-                    empty_clique = True
-            elif i < s:
-                if rows[v] & p:
-                    continue
-            else:
-                if rows[v] & p != p:
-                    continue
-            parts[i] |= b
-            if rec(v + 1):
-                return True
-            parts[i] ^= b
-        return False
-
-    return list(parts) if rec(0) else None
 
 
 # ---------------------------------------------------------------------------

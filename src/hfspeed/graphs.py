@@ -6,9 +6,11 @@ intersections and subset logic are single int operations.  The hard cap of
 64 vertices keeps rows word-sized; everything at desk scale (n <= 16 for
 enumeration) is far below it.
 
-Every induced-embedding search in the package (forbidden patterns, pinned
-or not, iota, and the core embeddings of P(J) and templates) runs on the
-one backtrack _embed below.
+Two backtracks serve the whole package.  Every induced-embedding search
+(forbidden patterns, pinned or not, iota, and the core embeddings of P(J)
+and templates) runs on _embed.  Every split of vertices into parts that
+must each stay independent or a clique (H(s, t) and the crowns of P(J)
+and templates) runs on _typed_parts.
 """
 
 from __future__ import annotations
@@ -318,6 +320,51 @@ def _embed(prow, host: Graph, order, pin=None, budget=None, accept=None):
         return None
     eta[order[0]] = pin
     return extend(1, 1 << pin)
+
+
+def _typed_parts(rows, beta, ok, cored, todo, budget):
+    """The one typed-part backtrack.
+
+    Places the vertices of the mask todo, lowest bit first, into parts:
+    part i stays an independent set (beta[i] = 0) or a clique
+    (beta[i] = 1) in the graph with adjacency rows, and takes only
+    vertices in the mask ok[i].  Each vertex goes to the first part that
+    takes it.  Empty parts outside the `cored` mask with equal beta are
+    interchangeable, so only the first of each beta is tried.  One budget
+    node per recursion step.  Returns the part masks or None.
+    """
+    l = len(beta)
+    parts = [0] * l
+
+    def rec(todo):
+        budget.spend()
+        if not todo:
+            return True
+        b = todo & -todo
+        row = rows[b.bit_length() - 1]
+        todo ^= b
+        tried_empty = 0
+        for i in range(l):
+            if not ok[i] & b:
+                continue
+            part = parts[i]
+            if not part and not cored >> i & 1:
+                tb = 1 << beta[i]
+                if tried_empty & tb:
+                    continue
+                tried_empty |= tb
+            if beta[i]:
+                if row & part != part:
+                    continue
+            elif row & part:
+                continue
+            parts[i] = part | b
+            if rec(todo):
+                return True
+            parts[i] = part
+        return False
+
+    return parts if rec(todo) else None
 
 
 def find_induced_embedding(pattern: Graph, host: Graph):

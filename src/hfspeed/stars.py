@@ -12,9 +12,9 @@ g splits into crowns satisfying the alpha/beta conditions restricted to
 g.  Everything a host adds outside g (missing core vertices, crown
 padding) can be wired freely, so the restricted conditions are exact;
 see is_member_PJ for the two-directional argument.  The core subset is
-embedded by the induced-embedding kernel of hfspeed.graphs and the rest
-split by one crown assignment (_assign_crowns); find_template is the same
-search with W = V(J).
+embedded by the induced-embedding kernel of hfspeed.graphs (_embed) and
+the rest split into crowns by its typed-part kernel (_typed_parts, set up
+by _assign_crowns); find_template is the same search with W = V(J).
 
 The crown definition quantifies over every vertex, including crown
 vertices themselves; for those the "adjacent to all" branch is read as
@@ -31,7 +31,8 @@ from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
 from .graphs import (
-    Graph, _embed, bits, delete_vertex, induced_subgraph, mask_of,
+    Graph, _embed, _typed_parts, bits, delete_vertex, induced_subgraph,
+    mask_of,
 )
 from . import graph6
 
@@ -164,21 +165,7 @@ def star_system_irreducible(sys: StarSystem) -> bool:
 def star_system_host(sys: StarSystem, crown: int) -> Graph:
     """The canonical host: J plus a crown of `crown` fresh vertices wired
     per (alpha, beta).  Crown vertices take labels n(J) onward."""
-    if crown < 0:
-        raise ValidationError("crown size must be >= 0")
-    k = sys.j.n
-    n = k + crown
-    rows = list(sys.j.rows) + [0] * crown
-    crown_mask = ((1 << crown) - 1) << k
-    for v in range(k):
-        if sys.alpha[v]:
-            rows[v] |= crown_mask
-            for w in range(k, n):
-                rows[w] |= 1 << v
-    if sys.beta:
-        for w in range(k, n):
-            rows[w] |= crown_mask ^ (1 << w)
-    return Graph.from_rows(rows)
+    return constellation_host(sys.as_constellation(), [crown])
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +379,8 @@ def find_template(g: Graph, c, budget_limit: int | None = None):
 
     The P(J) search with the whole core as W: embed J (vertices in label
     order, candidate hosts ascending, degree-prefiltered), then assign
-    the remaining vertices to parts in label order (see _assign_crowns).
+    the remaining vertices to parts in label order (_assign_crowns, on
+    the typed-part kernel graphs._typed_parts).
     The returned template has been re-verified.
     """
     c = _as_constellation(c)
@@ -419,10 +407,9 @@ def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
     pairs lists (core vertex, g vertex) for the embedded part of the
     core.  Only the vertices in ok[i], those meeting every embedded core
     vertex of fiber i as alpha says, may join part i; a vertex in no
-    ok[i] rejects at once.  Vertices are assigned lowest bit first and
-    each crown stays a clique or an independent set per beta.  Parts
-    outside the `cored` mask with equal beta are interchangeable while
-    empty, so only the first is tried.  One budget node per recursion step.
+    ok[i] rejects at once.  The rest is graphs._typed_parts: crowns typed
+    by beta, the parts holding a core image (`cored`) never treated as
+    interchangeable empties.
     """
     phi, alpha, beta = c.phi, c.alpha, c.beta
     l, grow = len(beta), g.rows
@@ -439,37 +426,7 @@ def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
         any_ok |= m
     if rest & ~any_ok:
         return None
-    crowns = [0] * l
-
-    def rec(todo):
-        budget.spend()
-        if not todo:
-            return True
-        b = todo & -todo
-        row = grow[b.bit_length() - 1]
-        todo ^= b
-        tried_empty = 0
-        for i in range(l):
-            if not ok[i] & b:
-                continue
-            crown = crowns[i]
-            if not crown and not cored >> i & 1:
-                tb = 1 << beta[i]
-                if tried_empty & tb:
-                    continue
-                tried_empty |= tb
-            if beta[i]:
-                if row & crown != crown:
-                    continue
-            elif row & crown:
-                continue
-            crowns[i] = crown | b
-            if rec(todo):
-                return True
-            crowns[i] = crown
-        return False
-
-    return crowns if rec(rest) else None
+    return _typed_parts(grow, beta, ok, cored, rest, budget)
 
 
 def _pj_search(g: Graph, c: Constellation, wsets, budget: Budget):

@@ -364,6 +364,8 @@ class TestVerifyStarSpeed:
         with pytest.raises(ValidationError):
             verify_star_speed(
                 Constellation(K0, (), (), (0, 0)), 2, 11)
+        with pytest.raises(ValidationError):
+            verify_star_speed(K1, 1, 8)  # neither system nor constellation
 
     def test_params(self):
         r = verify_star_speed(DOM, 1, 6)

@@ -64,6 +64,15 @@ class TestKnownSequences:
         assert t.unlabeled == [1, 0, 0, 0]
         assert t.h_bits[1] == float("-inf")
 
+    @pytest.mark.parametrize("pattern", [cycle(40), path(35), complete(30)],
+                             ids=["C40", "P35", "K30"])
+    def test_large_symmetric_pattern(self, pattern):
+        # the anchored scan reduces the pattern's vertices to orbit
+        # representatives; that must stay linear in the pattern's order
+        t = enumerate_family(Forb([pattern]), 6, keep_members=False)
+        assert t.unlabeled == ALL_UNLABELED[:7]
+        assert t.labeled == [2 ** math.comb(n, 2) for n in range(7)]
+
 
 class TestTwoRoutesAgree:
     # the augmentation count and the direct 2^C(n,2) scan share only the

@@ -1,11 +1,13 @@
-"""Frozen verdicts of the two partition-style deciders.
+"""Frozen verdicts of the three partition-style deciders.
 
-P(J) membership and partition products answer with a certificate or an
-exhausted search whose node count feeds the transcript hash, so both
-pins hash (family, graph, certificate, nodes) over every class to n = 6
-and over a seeded relabelled copy of each.  The digests were recorded on
-the per-vertex crown assignment and the pair-loop induced_subgraph, so a
-faster search must walk the same tree to keep them.
+P(J) membership, partition products and H(s, t) answer with a
+certificate or an exhausted search whose node count feeds the transcript
+hash, so each pin hashes (family, graph, certificate, nodes) over every
+class to n = 6 and over a seeded relabelled copy of each.  The digests
+were recorded on the per-vertex crown assignment, the pair-loop
+induced_subgraph and H(s, t)'s own backtrack, before it shared the
+crowns' typed-part kernel, so a faster search must walk the same tree to
+keep them.
 """
 
 import hashlib
@@ -13,7 +15,8 @@ import random
 
 from hfspeed.critical import criticality_tuples
 from hfspeed.enumeration import enumerate_family
-from hfspeed.families import ALL, C, M, PartitionCertificate, PartitionProduct
+from hfspeed.families import (ALL, C, HST, M, PartitionCertificate,
+                              PartitionProduct)
 from hfspeed.graph6 import decode
 from hfspeed.graphs import cycle, relabel
 from hfspeed.stars import Constellation, is_member_PJ
@@ -83,3 +86,22 @@ def test_partition_product_verdicts_digest():
             r = f.membership(g)
             rows.append((f.text(), g.rows, _plain(r.certificate), r.nodes))
     assert _digest(rows) == PRODUCT_DIGEST
+
+
+HST_PAIRS = [(3, 0), (2, 1), (1, 2), (0, 3), (3, 1), (2, 2), (1, 3), (4, 0)]
+
+HST_DIGEST = (
+    "e2a8914acdd363b24d4682ae1d3f83bb753783fbf3a27cbd09e35e2ca035cc7c")
+
+
+def test_hst_verdicts_digest():
+    # H(s, t)'s general case (s >= t, other than the (2, 0) colouring)
+    # and, for s < t, its complement route into it
+    rows = []
+    for s, t in HST_PAIRS:
+        f = HST(s, t)
+        for g in _classes_and_copies(6, 8):
+            r = f.membership(g)
+            parts = r.certificate.parts if r.member else None
+            rows.append((s, t, g.rows, r.member, parts, r.nodes))
+    assert _digest(rows) == HST_DIGEST

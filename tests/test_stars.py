@@ -141,6 +141,8 @@ class TestStarSystems:
         host = star_system_host(E2J, 3)
         assert host == complement(disjoint_union(complete(2), edgeless(3)))
         assert minimal_core(host)[0] == 2
+        with pytest.raises(ValidationError):
+            star_system_host(E2J, -1)
 
     def test_irreducible_iff_host_core_minimal(self):
         # the semantic reading, replayed host-side for every system with
