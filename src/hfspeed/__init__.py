@@ -95,7 +95,6 @@ from .stars import (
     is_s_star,
     minimal_core,
     minimal_nonstar_scan,
-    star_system_host,
     star_system_irreducible,
     verify_pj_certificate,
     verify_template,

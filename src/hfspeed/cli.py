@@ -105,10 +105,9 @@ def _run_chi_c(args):
 def _run_classify(args):
     fam = parse_family(args.family)
     l = args.l if args.l is not None else coloring_number(fam, args.budget).l
-    if l != int(l):
+    if l == float("inf"):
         raise UnsupportedOperationError(
             "classification needs a finite level; pass --l")
-    l = int(l)
     rows = []
     for token in _read_graphs(args):
         g = graph6.decode(token)
@@ -195,7 +194,11 @@ def _run_verify(args):
         config = {"experiment": exp, "l": args.l, "n_max": args.n_max}
     elif exp == "partition":
         _require(args, ["family", "part-family", "l", "n-max"])
-        eps = Fraction(args.eps)
+        try:
+            eps = Fraction(args.eps)
+        except (ValueError, ZeroDivisionError):
+            raise ValidationError(
+                f"--eps must be a fraction, got {args.eps!r}")
         report = verify_partition_fraction(
             parse_family(args.family), parse_family(args.part_family),
             args.l, args.n_max, eps=eps, budget_limit=args.budget,

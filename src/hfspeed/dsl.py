@@ -5,22 +5,20 @@ Grammar (case-sensitive, whitespace-insensitive between tokens):
     expr    := orexpr
     orexpr  := andexpr ("or" andexpr)*
     andexpr := primary ("and" primary)*
-    primary := "S" | "C" | "M" | "ALL"
-             | "forb" "(" graph ("," graph)* ")"
-             | "H" "(" int "," int ")"
-             | "P" "(" expr ("," expr)* ")"
-             | "iota" "(" graph ")"
-             | "apex" "(" expr ")"
-             | "co" "(" expr ")"
-             | "du" "(" expr "," expr ")"
-             | "join" "(" expr "," expr ")"
-             | "(" expr ")"
+    primary := TAG | TAG "(" field ("," field)* ")" | "(" expr ")"
+    field   := int | graph | expr | graph ("," graph)* | expr ("," expr)*
     graph   := NAME | "g6:" <graph6 chars>
+
+The prefix forms are read from the constructors' declarations: TAG is the
+_tag of one of S, C, M, ALL, forb, H, P, iota, apex, co, du and join, a
+constructor without fields stands alone, and any other reads one field per
+declared kind (an int, a graph, a family, or a list of graphs or families)
+before the constructor validates them.  So the parser reads what
+Family.text() prints.  "and" binds tighter than "or".
 
 Graph literals: K13 is the claw K_{1,3} (the one aliased name); otherwise
 Kn, Cn, Pn, En and mKn (m disjoint complete graphs) parse structurally, and
-g6:... takes anything else.  "and" binds tighter than "or".  format_family
-emits the same grammar, so parse_family(format_family(e)) reproduces e.
+g6:... takes anything else.
 """
 
 from __future__ import annotations
@@ -29,34 +27,24 @@ import re
 
 from .errors import ValidationError
 from .families import (
-    ALL,
-    Apex,
-    C,
-    ComplementFamily,
-    DisjointUnionFam,
-    Family,
-    Forb,
-    HST,
-    IntersectionFam,
-    Iota,
-    JoinFam,
-    M,
-    PartitionProduct,
-    S,
-    UnionFam,
+    _FAMILIES, _FAMILY, _GRAPH, _GRAPHS, _NAT, Apex, AtomAll, AtomC, AtomM,
+    AtomS, ComplementFamily, DisjointUnionFam, Family, Forb, HST,
+    IntersectionFam, Iota, JoinFam, PartitionProduct, UnionFam,
     graph_from_name,
 )
 
 _TOKEN = re.compile(r"""
     \s*(
       g6:[?-~]+              # graph6 literal, printable ASCII, no spaces
-    | \d*[A-Za-z][A-Za-z0-9]*  # names: atoms, keywords, graph literals (2K2)
+    | \d*[A-Za-z][A-Za-z0-9]*  # names: tags, "or", "and", graph literals (2K2)
     | \d+
     | [(),]
     )""", re.VERBOSE)
 
-_KEYWORDS = {"forb", "H", "P", "iota", "apex", "co", "du", "join", "or", "and"}
-_ATOMS = {"S": S, "C": C, "M": M, "ALL": ALL}
+# the constructors with a prefix form, by tag
+_PREFIX = {cls._tag: cls for cls in (
+    AtomS, AtomC, AtomM, AtomAll, Forb, HST, PartitionProduct, Iota, Apex,
+    ComplementFamily, DisjointUnionFam, JoinFam)}
 
 
 def _tokenize(text: str):
@@ -128,55 +116,36 @@ class _Parser:
         tok = self.next()
         return graph_from_name(tok)
 
+    def field(self, kind):
+        read = {_NAT: self.int_lit, _GRAPH: self.graph_lit,
+                _GRAPHS: self.graph_lit, _FAMILY: self.or_expr,
+                _FAMILIES: self.or_expr}[kind]
+        if kind not in (_GRAPHS, _FAMILIES):
+            return read()
+        items = [read()]
+        while self.peek() == ",":
+            self.next()
+            items.append(read())
+        return items
+
     def primary(self):
         tok = self.next()
-        if tok in _ATOMS:
-            return _ATOMS[tok]
         if tok == "(":
             e = self.or_expr()
             self.expect(")")
             return e
-        if tok == "forb":
+        cls = _PREFIX.get(tok)
+        if cls is None:
+            raise ValidationError(f"unexpected token {tok!r} in {self.text!r}")
+        args = []
+        if cls._kinds:
             self.expect("(")
-            pats = [self.graph_lit()]
-            while self.peek() == ",":
-                self.next()
-                pats.append(self.graph_lit())
+            for kind in cls._kinds:
+                if args:
+                    self.expect(",")
+                args.append(self.field(kind))
             self.expect(")")
-            return Forb(pats)
-        if tok == "H":
-            self.expect("(")
-            s = self.int_lit()
-            self.expect(",")
-            t = self.int_lit()
-            self.expect(")")
-            return HST(s, t)
-        if tok == "P":
-            self.expect("(")
-            fs = [self.or_expr()]
-            while self.peek() == ",":
-                self.next()
-                fs.append(self.or_expr())
-            self.expect(")")
-            return PartitionProduct(fs)
-        if tok == "iota":
-            self.expect("(")
-            g = self.graph_lit()
-            self.expect(")")
-            return Iota(g)
-        if tok in ("apex", "co"):
-            self.expect("(")
-            e = self.or_expr()
-            self.expect(")")
-            return Apex(e) if tok == "apex" else ComplementFamily(e)
-        if tok in ("du", "join"):
-            self.expect("(")
-            a = self.or_expr()
-            self.expect(",")
-            b = self.or_expr()
-            self.expect(")")
-            return DisjointUnionFam(a, b) if tok == "du" else JoinFam(a, b)
-        raise ValidationError(f"unexpected token {tok!r} in {self.text!r}")
+        return cls(*args)
 
 
 def parse_family(text: str) -> Family:
@@ -185,7 +154,10 @@ def parse_family(text: str) -> Family:
 
 
 def format_family(f: Family) -> str:
-    """Canonical text of a family expression (inverse of parse_family)."""
+    """Canonical text of a family expression.  parse_family reads it back
+    to an equal family, except for red(...) and pj(...), whose texts are
+    print-only: red's leaves out l, and pj's holds ';', which the
+    tokenizer refuses."""
     if not isinstance(f, Family):
         raise ValidationError("format_family takes a family")
     return f.text()

@@ -20,6 +20,7 @@ apex is the one constructor that breaks it.
 from __future__ import annotations
 
 import hashlib
+import re
 from collections import namedtuple
 
 from .errors import ResourceLimitError, UnsupportedOperationError, ValidationError
@@ -33,6 +34,7 @@ from .graphs import (
     components,
     co_components,
     complete,
+    copies,
     cycle,
     edgeless,
     find_induced_embedding,
@@ -224,9 +226,9 @@ class Family:
 # field kinds
 
 # what a declared field holds: take(value) returns the value to store, or
-# None to refuse it; key(value) gives the field's items of the family key,
-# text(value) its arguments in the family text and subs(value) the
-# families in it
+# refuses it by returning None or raising ValidationError; key(value) gives
+# the field's items of the family key, text(value) its arguments in the
+# family text and subs(value) the families in it
 _Kind = namedtuple("_Kind", "what take key text subs",
                    defaults=(lambda v: (),))
 
@@ -728,6 +730,7 @@ def family_contains(f_sub: Family, f_super: Family, budget: Budget | None = None
 # ---------------------------------------------------------------------------
 # graph naming for DSL round-trips
 
+# the names graph_name prefers, each one a literal graph_from_name reads
 _NAMED = {}
 
 
@@ -745,7 +748,6 @@ def _register_named():
         if n >= 1:
             for m in range(2, 7):
                 if m * n <= 24:
-                    from .graphs import copies
                     _NAMED[f"{m}K{n}"] = copies(m, complete(n))
 
 
@@ -758,14 +760,11 @@ def graph_from_name(name: str) -> Graph:
     name = name.strip()
     if name.startswith("g6:"):
         return graph6.decode(name[3:])
-    _register_named()
-    if name in _NAMED:
-        return _NAMED[name]
-    import re
+    if name == "K13":
+        return star(3)
     m = re.fullmatch(r"(\d*)K(\d+)", name)
     if m:
         cnt = int(m.group(1)) if m.group(1) else 1
-        from .graphs import copies
         return copies(cnt, complete(int(m.group(2))))
     m = re.fullmatch(r"C(\d+)", name)
     if m:

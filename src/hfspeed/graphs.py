@@ -204,20 +204,6 @@ def co_components(g: Graph):
     return components(complement(g))
 
 
-def is_clique_mask(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g.rows[v] & mask != mask ^ (1 << v):
-            return False
-    return True
-
-
-def is_independent_mask(g: Graph, mask: int) -> bool:
-    for v in bits(mask):
-        if g.rows[v] & mask:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # named constructions
 

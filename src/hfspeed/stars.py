@@ -162,12 +162,6 @@ def star_system_irreducible(sys: StarSystem) -> bool:
     return True
 
 
-def star_system_host(sys: StarSystem, crown: int) -> Graph:
-    """The canonical host: J plus a crown of `crown` fresh vertices wired
-    per (alpha, beta).  Crown vertices take labels n(J) onward."""
-    return constellation_host(sys.as_constellation(), [crown])
-
-
 # ---------------------------------------------------------------------------
 # constellations
 
@@ -559,9 +553,7 @@ def _all_below(xs, hi) -> bool:
 
 # P(J)'s field: key (n, rows, phi, alpha, beta), text g6;phi;alpha;beta
 _CONSTELLATION = _Kind(
-    "a star system or constellation",
-    lambda c: (c.as_constellation() if isinstance(c, StarSystem)
-               else c if isinstance(c, Constellation) else None),
+    "a star system or constellation", _as_constellation,
     lambda c: (c.j.n, c.j.rows, c.phi, c.alpha, c.beta),
     lambda c: [";".join([graph6.encode(c.j)] + [
         "".join(map(str, x)) for x in (c.phi, c.alpha, c.beta)])])
@@ -695,9 +687,13 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         for idx, (u, v) in enumerate(pairs):
             pair_idx[(u, v)] = idx
             pair_idx[(v, u)] = idx
-        pperms = []
-        for p in _assembly_generators(base, phi, alpha, beta, total, l):
-            pperms.append(tuple(pair_idx[(p[u], p[v])] for u, v in pairs))
+        # Aut of the cross-edge-free assembly, on the core vertices: the
+        # colored-gadget group, so exactly fiber-block permutations between
+        # identical systems composed with internal alpha-preserving
+        # automorphisms
+        cf, _ = _gadget_form(base, phi, alpha, beta)
+        pperms = [tuple(pair_idx[(p[u], p[v])] for u, v in pairs)
+                  for p in cf.generators]
         for code in subset_orbit_reps(len(pairs), pperms):
             rows = list(base)
             for b in bits(code):
@@ -706,15 +702,6 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
                 rows[v] |= 1 << u
             emit(Constellation(Graph.from_rows(rows), phi, alpha, beta))
     return [out[k] for k in sorted(out)]
-
-
-def _assembly_generators(base, phi, alpha, beta, total, l):
-    """Automorphism generators of the cross-edge-free assembly, restricted
-    to core vertices: the colored-gadget group, so exactly fiber-block
-    permutations between identical systems composed with internal
-    alpha-preserving automorphisms."""
-    cf, _ = _gadget_form(base, phi, alpha, beta)
-    return [p[:total] for p in cf.generators]
 
 
 def _gadget_form(jrows, phi, alpha, beta):

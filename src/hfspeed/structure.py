@@ -88,36 +88,32 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
 
     bound = max(p.n for p in f.patterns)
 
-    def feasible_s(l):
-        # smallest s with H(s, l-s) inside f, else None
+    def scan(l):
+        # the smallest s with H(s, l-s) inside f, else one
+        # (s, pattern_index, certificate) per s refuting it
+        refutations = []
         for s in range(l + 1):
             h = HST(s, l - s)
-            if not any(h.contains(k, Budget(budget_limit))
-                       for k in f.patterns):
+            for idx, k in enumerate(f.patterns):
+                res = h.membership(k, Budget(budget_limit))
+                if res.member:
+                    refutations.append((s, idx, res.certificate))
+                    break
+            else:
                 return s
-        return None
+        return refutations
 
-    l, witness_s = 0, feasible_s(0)
-    if witness_s is None:
+    l, witness_s = 0, scan(0)
+    if not isinstance(witness_s, int):
         # H(0,0) = {K0} and K0 is never a pattern
         raise RuntimeError("chi_c scan found no witness at level 0")
     while True:
-        nxt = feasible_s(l + 1)
-        if nxt is None:
-            break
+        nxt = scan(l + 1)
+        if not isinstance(nxt, int):
+            return ColoringNumberResult(l, witness_s, nxt)
         l, witness_s = l + 1, nxt
         if l > bound:
             raise RuntimeError("chi_c scan exceeded its termination bound")
-
-    refutations = []
-    for s in range(l + 2):
-        h = HST(s, l + 1 - s)
-        for idx, k in enumerate(f.patterns):
-            res = h.membership(k, Budget(budget_limit))
-            if res.member:
-                refutations.append((s, idx, res.certificate))
-                break
-    return ColoringNumberResult(l, witness_s, refutations)
 
 
 # ---------------------------------------------------------------------------

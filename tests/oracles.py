@@ -50,6 +50,16 @@ def brute_aut_order(g):
     return max(count, 1)
 
 
+def is_clique_mask(g, mask):
+    vs = [v for v in range(g.n) if mask >> v & 1]
+    return all(g.rows[u] >> v & 1 for u, v in combinations(vs, 2))
+
+
+def is_independent_mask(g, mask):
+    vs = [v for v in range(g.n) if mask >> v & 1]
+    return not any(g.rows[u] >> v & 1 for u, v in combinations(vs, 2))
+
+
 def brute_embeds_induced(pattern, host):
     k = pattern.n
     if k > host.n:

@@ -270,6 +270,17 @@ class TestExitCodes:
     def test_unsupported(self, capsys):
         assert run(capsys, ["critical", "--family", "ALL"])[0] == 2
 
+    def test_refusals_not_tracebacks(self, capsys):
+        # chi_c of ALL is infinite, and --eps must parse as a fraction
+        partition = ["verify", "--experiment", "partition", "--family",
+                     "forb(K3)", "--part-family", "S", "--l", "2",
+                     "--n-max", "4", "--eps"]
+        for argv in (["classify", "--family", "ALL", "Bw"],
+                     partition + ["abc"], partition + ["1/0"]):
+            code, out, err = run(capsys, argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith("error:"), argv
+
     def test_budget_exhaustion(self, capsys):
         code, _, err = run(capsys, ["speed", "--family", "P(du(C, S), S)",
                                     "--n-max", "7", "--budget", "2"])

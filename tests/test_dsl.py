@@ -88,6 +88,17 @@ def test_format_is_stable_text():
     "forb(Q9)",
     "H(a, b)",
     "$money",
+    # each field is read by its declared kind, and nothing else fits it
+    "H(2, S)",
+    "iota(S)",
+    "P(K3)",
+    "forb(S)",
+    "S(M)",
+    "H(2, 0, 1)",
+    "du(S, C, M)",
+    # red(...) and pj(...) texts are print-only
+    "red(forb(K3))",
+    "pj(K1)",
 ])
 def test_errors(bad):
     with pytest.raises(ValidationError):

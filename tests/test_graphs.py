@@ -7,8 +7,8 @@ from hfspeed.errors import CapacityError, ValidationError
 from hfspeed.graphs import (
     Graph, bits, co_components, complement, complete, complete_bipartite,
     components, cycle, delete_vertex, disjoint_union,
-    edgeless, find_induced_embedding, induced_subgraph, is_clique_mask,
-    is_independent_mask, join, mask_of, matching, path, relabel, star,
+    edgeless, find_induced_embedding, induced_subgraph, join, matching,
+    path, relabel, star,
 )
 from oracles import all_labeled_graphs, brute_embeds_induced
 
@@ -108,10 +108,6 @@ class TestOperations:
             assert h.has_edge(perm[u], perm[v])
 
     def test_masks(self):
-        g = cycle(5)
-        assert is_independent_mask(g, mask_of([0, 2]))
-        assert not is_independent_mask(g, mask_of([0, 1]))
-        assert is_clique_mask(g, mask_of([0, 1]))
         assert list(bits(0b10110)) == [1, 2, 4]
 
 

@@ -30,7 +30,7 @@ PUBLIC = [
     "is_minimal_nonstar", "is_reduced", "is_s_star", "join",
     "labeled_count_direct", "matching", "minimal_core",
     "minimal_nonstar_scan", "parse_family", "path", "smoothness_report",
-    "speed_delta", "star", "star_system_host", "star_system_irreducible",
+    "speed_delta", "star", "star_system_irreducible",
     "substar", "verify_constellation_cover", "verify_kpr",
     "verify_partition_fraction", "verify_pj_certificate",
     "verify_star_speed", "verify_template",
