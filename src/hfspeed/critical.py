@@ -34,9 +34,9 @@ import math
 import time
 from fractions import Fraction
 
-from .canon import canonical_form
-from .enumeration import enumerate_family
-from .errors import UnsupportedOperationError, ValidationError
+from .enumeration import _budget_error, enumerate_family
+from .errors import (ResourceLimitError, UnsupportedOperationError,
+                     ValidationError)
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
                        Forb, HST, M, PartitionProduct, S)
 from .graphs import bits, complete, induced_subgraph
@@ -240,10 +240,6 @@ def _csv_cell(v):
     return str(v)
 
 
-def _labeled_weight(g):
-    return math.factorial(g.n) // canonical_form(g).aut_order
-
-
 def _trend_verdicts(fracs, n_max):
     """Compare the last fraction against three orders earlier."""
     lo = n_max - 3
@@ -259,25 +255,34 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
                threads: int = 1) -> ExperimentReport:
     """Exact fraction |H(l,0)^n| / |forb(K_{l+1})^n| for n up to n_max.
 
-    Labeled counts on both sides; the asymptotic claim this probes says
-    the fraction tends to 1, and the trend verdict honestly reports
-    whether the last value beats the one three orders earlier, which at
-    desk scale it may not.
+    One enumeration; H(l, 0) is read off the K_{l+1}-free classes.  Every
+    l-colourable graph is K_{l+1}-free, so the classes of H(l, 0) are
+    exactly the l-colourable classes of forb(K_{l+1}), and each adds
+    n!/|Aut| from the enumerator's own record to both labeled counts.
+    The asymptotic claim this probes says the fraction tends to 1, and
+    the trend verdict honestly reports whether the last value beats the
+    one three orders earlier, which at desk scale it may not.
     """
     if l not in (2, 3):
         raise ValidationError("the clique benchmark runs at l in {2, 3}")
     if not 4 <= n_max <= 10:
         raise ValidationError("n_max must lie in [4, 10]")
     start = time.perf_counter()
-    sub = enumerate_family(HST(l, 0), n_max, budget_limit=budget_limit,
-                           threads=threads, keep_members=False)
     sup = enumerate_family(Forb([complete(l + 1)]), n_max,
-                           budget_limit=budget_limit, threads=threads,
-                           keep_members=False)
+                           budget_limit=budget_limit, threads=threads)
+    colourable = HST(l, 0)
     fracs = [None] * (n_max + 1)
     rows = []
     for n in range(1, n_max + 1):
-        total, covered = sup.labeled[n], sub.labeled[n]
+        total, covered = sup.labeled[n], 0
+        fact = math.factorial(n)
+        for g, aut in zip(sup.members[n], sup.auts[n]):
+            try:
+                res = colourable.membership(g, Budget(budget_limit))
+            except ResourceLimitError as e:
+                raise _budget_error(colourable, g, e) from e
+            if res.member:
+                covered += fact // aut
         if not 0 < covered <= total:
             raise RuntimeError(f"kpr count at n={n}: covered {covered} "
                                f"outside (0, {total}]")
@@ -373,11 +378,12 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
         total = table.labeled[n]
         covered = unique_balanced = 0
         spot = None
-        for g in table.members[n]:
+        fact = math.factorial(n)
+        for g, aut in zip(table.members[n], table.auts[n]):
             mres = prod.membership(g, Budget(budget_limit))
             if not mres.member:
                 continue
-            w = _labeled_weight(g)
+            w = fact // aut
             covered += w
             cnt = _count_partitions(g, t_family, l, Budget(budget_limit))
             if cnt < 1:
@@ -439,10 +445,11 @@ def verify_constellation_cover(f, l: int, s: int, n_max: int, *,
     for n in range(1, n_max + 1):
         total = table.labeled[n]
         covered = 0
-        for g in table.members[n]:
+        fact = math.factorial(n)
+        for g, aut in zip(table.members[n], table.auts[n]):
             if any(is_member_PJ(g, c, budget_limit).member
                    for c in selected):
-                covered += _labeled_weight(g)
+                covered += fact // aut
         fracs[n] = Fraction(covered, total)
         rows.append({"n": n, "total": str(total), "covered": str(covered),
                      "fraction": str(fracs[n])})

@@ -57,15 +57,19 @@ class SpeedTable:
     h(n) = log2(labeled[n]) as a float for display; every consumer that
     needs to *compare* speeds works on the exact integers instead.
     members[n] holds the canonical representatives, sorted by adjacency
-    encoding, when the run kept them.
+    encoding, when the run kept them, and auts[n][i] is |Aut| of
+    members[n][i], so a weighted count over members needs no canonical
+    form; both are None when members were not kept.
     """
 
-    def __init__(self, family_text, n_max, unlabeled, labeled, members=None):
+    def __init__(self, family_text, n_max, unlabeled, labeled, members=None,
+                 auts=None):
         self.family_text = family_text
         self.n_max = n_max
         self.unlabeled = list(unlabeled)
         self.labeled = list(labeled)
         self.members = members
+        self.auts = auts
         self.h_bits = [math.log2(c) if c > 0 else float("-inf")
                        for c in self.labeled]
 
@@ -280,6 +284,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
 
     unlabeled, labeled = [], []
     members = [] if keep_members else None
+    auts = [] if keep_members else None
     recs = []
     try:
         for n in range(n_max + 1):
@@ -300,12 +305,13 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             labeled.append(sum(fact // aut for _, _, aut in recs))
             if members is not None:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
+                auts.append([aut for _, _, aut in recs])
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
-    return SpeedTable(f.text(), n_max, unlabeled, labeled, members)
+    return SpeedTable(f.text(), n_max, unlabeled, labeled, members, auts)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from collections import namedtuple
 from .errors import ResourceLimitError, UnsupportedOperationError, ValidationError
 from . import graph6
 from .graphs import (
+    MAX_VERTICES,
     Graph,
     _embed,
     _typed_parts,
@@ -384,6 +385,13 @@ class HST(Family):
     _tag = "H"
     _kinds = (_NAT, _NAT)
     hereditary = True
+
+    def _validate(self):
+        # a decision builds s + t parts; H(s, t) with s + t = MAX_VERTICES
+        # already holds every graph, so more parts only cost memory
+        if self.s + self.t > MAX_VERTICES:
+            raise ValidationError(f"H: s + t must be at most {MAX_VERTICES}, "
+                                  f"got {self.s} + {self.t}")
 
     def _decide(self, g, budget, new_vertex_only):
         budget.spend()

@@ -271,12 +271,16 @@ class TestExitCodes:
         assert run(capsys, ["critical", "--family", "ALL"])[0] == 2
 
     def test_refusals_not_tracebacks(self, capsys):
-        # chi_c of ALL is infinite, and --eps must parse as a fraction
+        # chi_c of ALL is infinite, --eps must parse as a fraction, and
+        # H(s, t) is refused past as many parts as a graph may have
+        # vertices
         partition = ["verify", "--experiment", "partition", "--family",
                      "forb(K3)", "--part-family", "S", "--l", "2",
                      "--n-max", "4", "--eps"]
         for argv in (["classify", "--family", "ALL", "Bw"],
-                     partition + ["abc"], partition + ["1/0"]):
+                     partition + ["abc"], partition + ["1/0"],
+                     ["speed", "--family", "H(99999999999999999999,0)",
+                      "--n-max", "2"]):
             code, out, err = run(capsys, argv)
             assert code == 2 and out == "", argv
             assert err.startswith("error:"), argv

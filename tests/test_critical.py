@@ -10,9 +10,11 @@ from hfspeed.critical import (
     verify_partition_fraction, verify_star_speed,
 )
 from hfspeed.enumeration import enumerate_family
-from hfspeed.errors import UnsupportedOperationError, ValidationError
+from hfspeed.errors import (
+    ResourceLimitError, UnsupportedOperationError, ValidationError,
+)
 from hfspeed.families import (
-    ALL, Apex, C, Forb, Iota, M, PartitionProduct, S, family_contains,
+    ALL, Apex, C, Forb, HST, Iota, M, PartitionProduct, S, family_contains,
 )
 from hfspeed.canon import canonical_graph
 from hfspeed.graphs import Graph, complete, cycle, edgeless, matching, path
@@ -197,6 +199,27 @@ class TestVerifyKpr:
         # the gap at n=6 is exactly the labelings of the 5-wheel
         assert int(r.rows[5]["total"]) - int(r.rows[5]["covered"]) == 72
         assert r.rows[5]["total"] == "27626"
+
+    @pytest.mark.parametrize("l, n_max", [(2, 9), (3, 7)])
+    def test_counts_match_separate_enumerations(self, l, n_max):
+        # the two-enumeration route: H(l, 0) enumerated on its own, not
+        # read off the K_{l+1}-free classes
+        r = verify_kpr(l, n_max)
+        sub = enumerate_family(HST(l, 0), n_max, keep_members=False)
+        sup = enumerate_family(Forb([complete(l + 1)]), n_max,
+                               keep_members=False)
+        assert [int(row["covered"]) for row in r.rows] == sub.labeled[1:]
+        assert [int(row["total"]) for row in r.rows] == sup.labeled[1:]
+
+    def test_budget_error_names_the_colouring(self):
+        # budget 7 lasts through forb(K4) to n = 6 (n + 1 nodes per
+        # anchored check) but not through every 3-colouring search
+        with pytest.raises(ResourceLimitError) as info:
+            verify_kpr(3, 6, budget_limit=7)
+        assert str(info.value) == ("H(3, 0) at level 5, graph DR[: "
+                                   "membership search exceeded node "
+                                   "budget 7")
+        assert info.value.__cause__ is not None
 
     def test_validation(self):
         for args in ((1, 8), (4, 8), (2, 3), (2, 11)):

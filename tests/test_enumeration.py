@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from hfspeed.canon import canonical_graph
+from hfspeed.canon import canonical_form, canonical_graph
 from hfspeed.enumeration import (
     DeltaReport, SpeedTable, enumerate_family, labeled_count_direct,
     speed_delta,
@@ -100,6 +100,21 @@ class TestMembers:
             for g in ms:
                 assert canonical_graph(g) == g
                 assert not brute_embeds_induced(k3, g)
+
+    @pytest.mark.parametrize("fam", [ALL, Forb([complete(3)]), HST(2, 0)],
+                             ids=str)
+    @pytest.mark.parametrize("route", ["fresh", "resumed", "two-workers"])
+    def test_auts_are_the_members_aut_orders(self, fam, route, tmp_path):
+        kw = {"threads": 2} if route == "two-workers" else {}
+        if route == "resumed":
+            kw["checkpoint_dir"] = str(tmp_path)
+            enumerate_family(fam, 5, **kw)
+        t = enumerate_family(fam, 7, **kw)
+        assert [len(a) for a in t.auts] == t.unlabeled
+        for n in range(8):
+            assert t.auts[n] == [canonical_form(g).aut_order
+                                 for g in t.members[n]]
+        assert enumerate_family(fam, 3, keep_members=False).auts is None
 
 
 class TestValidation:

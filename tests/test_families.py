@@ -275,6 +275,7 @@ class TestValidationAndFlags:
             lambda: HST(True, 0),
             lambda: HST("1", 0),
             lambda: HST(2, -1),
+            lambda: HST(33, 32),
             lambda: ReducedFamily(k3, 1.5),
             lambda: ReducedFamily(k3, 0),
             lambda: ReducedFamily(HST(2, 0), 1),
