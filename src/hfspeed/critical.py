@@ -39,7 +39,7 @@ from .errors import (ResourceLimitError, UnsupportedOperationError,
                      ValidationError)
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
                        Forb, HST, M, PartitionProduct, S)
-from .graphs import bits, complete, induced_subgraph
+from .graphs import bits, complete
 from .stars import (PJFamily, _as_constellation, constellation_irreducible,
                     generate_constellations, is_member_PJ, is_s_star)
 from .structure import coloring_number, enumerate_reduced, is_balanced
@@ -298,51 +298,6 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
 # ---------------------------------------------------------------------------
 # partitioned fraction of an arbitrary family
 
-def _count_partitions(g, t_fam, l, budget, cap=2):
-    """Set partitions of V(g) into at most l parts, each inducing a
-    member of t_fam, counted up to part permutation and stopped at cap.
-
-    Parts are opened in first-use order, which enumerates unordered
-    partitions exactly once.  Pruning on prefixes is sound because
-    t_fam is hereditary.
-    """
-    memo = {}
-
-    def part_ok(mask):
-        got = memo.get(mask)
-        if got is None:
-            got = t_fam.membership(
-                induced_subgraph(g, bits(mask)), budget).member
-            memo[mask] = got
-        return got
-
-    parts = []
-    count = 0
-
-    def rec(v):
-        nonlocal count
-        if v == g.n:
-            count += 1
-            return count >= cap
-        bit = 1 << v
-        for i in range(len(parts)):
-            new = parts[i] | bit
-            if part_ok(new):
-                parts[i] = new
-                if rec(v + 1):
-                    return True
-                parts[i] ^= bit
-        if len(parts) < l and part_ok(bit):
-            parts.append(bit)
-            if rec(v + 1):
-                return True
-            parts.pop()
-        return False
-
-    rec(0)
-    return count
-
-
 def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
                               eps: Fraction = Fraction(1, 2),
                               budget_limit: int | None = None,
@@ -351,12 +306,14 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
     plus the sub-fraction whose partition is unique up to part
     permutation and eps-balanced.
 
-    Weights are n!/|Aut|, so the labeled fractions are exact.  The
-    uniqueness counter is independent of the membership search and
-    stops at two partitions.  One spot certificate per order (the
-    first partitioned member in canonical order) lands in
-    verdicts["spots"] for replay; rows stay flat so the CSV form is a
-    plain table.
+    Weights are n!/|Aut|, so the labeled fractions are exact.  Each
+    member's verdict reads the first two leaves of the product's own
+    part walk: one leaf or more means covered, exactly one means
+    unique, and balance is judged on the first leaf's part sizes.  Both
+    leaves are charged to the member's one budget.  One spot
+    certificate per order (the first partitioned member in canonical
+    order) lands in verdicts["spots"] for replay; rows stay flat so the
+    CSV form is a plain table.
     """
     if not t_family.hereditary:
         raise ValidationError("the part family must be hereditary")
@@ -380,20 +337,16 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
         spot = None
         fact = math.factorial(n)
         for g, aut in zip(table.members[n], table.auts[n]):
-            mres = prod.membership(g, Budget(budget_limit))
-            if not mres.member:
+            leaves = prod._partitions(g, Budget(budget_limit), 2)
+            if not leaves:
                 continue
             w = fact // aut
             covered += w
-            cnt = _count_partitions(g, t_family, l, Budget(budget_limit))
-            if cnt < 1:
-                raise RuntimeError(f"member {graph6.encode(g)} of the "
-                                   f"product has no counted partition")
-            if cnt == 1 and is_balanced(mres.certificate, eps):
+            parts = [list(bits(m)) for m in leaves[0][0]]
+            if len(leaves) == 1 and is_balanced(map(len, parts), eps):
                 unique_balanced += w
             if spot is None:
-                spot = {"n": n, "graph": graph6.encode(g),
-                        "parts": [list(p) for p in mres.certificate.parts]}
+                spot = {"n": n, "graph": graph6.encode(g), "parts": parts}
         fracs[n] = Fraction(covered, total)
         if spot is not None:
             spots.append(spot)

@@ -37,6 +37,7 @@ from .graphs import (
     complete,
     copies,
     cycle,
+    delete_vertex,
     edgeless,
     find_induced_embedding,
     induced_subgraph,
@@ -507,10 +508,25 @@ class PartitionProduct(Family):
     _kinds = (_FAMILIES,)
 
     def _decide(self, g, budget, new_vertex_only):
+        leaves = self._partitions(g, budget, 1)
+        if not leaves:
+            return False, None
+        part_masks, subs = leaves[0]
+        parts = [tuple(bits(m)) for m in part_masks]
+        return True, PartitionCertificate(parts, [r.certificate for r in subs])
+
+    def _partitions(self, g, budget, cap):
+        """The first cap leaves of the part walk, each as (part masks,
+        part membership results).
+
+        Vertices go in label order; of the empty parts only the first of
+        each factor family is tried, so with equal factors parts open in
+        first-use order and each unordered partition is one leaf.
+        Hereditary factors prune on every prefix of a part.
+        """
         n = g.n
         fs = self.factors
         l = len(fs)
-        rows = g.rows
         memo = {}
 
         def part_ok(i, mask):
@@ -534,8 +550,8 @@ class PartitionProduct(Family):
                     if not res.member:
                         return False
                     subs.append(res)
-                found.extend([tuple(masks), tuple(subs)])
-                return True
+                found.append((tuple(masks), tuple(subs)))
+                return len(found) >= cap
             b = 1 << v
             seen_empty = set()
             for i in range(l):
@@ -553,12 +569,8 @@ class PartitionProduct(Family):
                 masks[i] ^= b
             return False
 
-        if rec(0):
-            part_masks, subs = found
-            parts = [tuple(bits(m)) for m in part_masks]
-            return True, PartitionCertificate(
-                parts, [r.certificate for r in subs])
-        return False, None
+        rec(0)
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -599,8 +611,7 @@ class Apex(Family):
     def _decide(self, g, budget, new_vertex_only):
         for v in range(g.n):
             budget.spend()
-            rest = induced_subgraph(g, [u for u in range(g.n) if u != v])
-            res = self.base.membership(rest, budget)
+            res = self.base.membership(delete_vertex(g, v), budget)
             if res.member:
                 return True, ("apex", v, res.certificate)
         return False, None

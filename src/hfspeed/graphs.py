@@ -254,11 +254,11 @@ def _embed(prow, host: Graph, order, pin=None, budget=None, accept=None):
 
     Maps the pattern vertices of `order`, in that order, injectively into
     host so that each pair is an edge exactly when it is one in the
-    pattern rows prow.  pin fixes the host vertex of order[0].  Candidates are tried in increasing order, so the
-    first witness is the lexicographically least; a candidate needs host
-    degree at least its pattern degree among `order`.  With a budget, one
-    node is spent per unused candidate passing that filter, before the
-    adjacency test.
+    pattern rows prow.  pin fixes the host vertex of order[0].
+    Candidates are tried in increasing order, so the first witness is the
+    lexicographically least; a candidate needs host degree at least its
+    pattern degree among `order`.  With a budget, one node is spent per
+    unused candidate passing that filter, before the adjacency test.
 
     eta[v] is the image of pattern vertex v (entries outside `order` are
     unused).  A complete eta goes to accept, whose first non-None answer

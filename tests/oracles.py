@@ -153,6 +153,22 @@ def _naive_partition(g, slots, check):
     return False
 
 
+def count_partitions(g, fam, l):
+    """Unordered partitions of V(g) into l parts (empty ones allowed), each
+    inducing a member of fam.  Every assignment whose parts open in
+    first-use order stands for one unordered partition; all l parts are
+    checked with naive_member."""
+    n = g.n
+    count = 0
+    for assign in product(range(l), repeat=n):
+        if any(assign[v] > max(assign[:v], default=-1) + 1 for v in range(n)):
+            continue
+        parts = [[v for v in range(n) if assign[v] == i] for i in range(l)]
+        if all(naive_member(induced_subgraph(g, p), fam) for p in parts):
+            count += 1
+    return count
+
+
 def verify_partition_certificate(g, fam, cert):
     """Re-check a PartitionCertificate against the graph, independently."""
     parts = cert.parts

@@ -6,7 +6,7 @@ import pytest
 
 import hfspeed as hf
 from hfspeed import graph6, parse_family
-from hfspeed.enumeration import FORMAT_VERSION
+from hfspeed.enumeration import FORMAT_VERSION, enumerate_family
 from hfspeed.errors import (
     ResourceLimitError, UnsupportedOperationError, ValidationError,
 )
@@ -17,12 +17,15 @@ from hfspeed.families import (
     graph_from_name, graph_name,
 )
 from hfspeed.graphs import (
-    Graph, add_vertex, complete, cycle, edgeless, induced_subgraph,
+    Graph, add_vertex, bits, complete, cycle, edgeless, induced_subgraph,
     matching, path, star,
 )
 from hfspeed.stars import Constellation, PJFamily, StarSystem
 from hfspeed.structure import ReducedFamily
-from oracles import all_labeled_graphs, naive_member, verify_partition_certificate
+from oracles import (
+    all_labeled_graphs, count_partitions, naive_member,
+    verify_partition_certificate,
+)
 
 
 def battery():
@@ -164,6 +167,27 @@ class TestCertificates:
     def test_nodes_accounted(self):
         res = HST(2, 1).membership(cycle(5))
         assert res.nodes > 0
+
+
+class TestPartitionWalk:
+    """The product walk's leaves against an independent partition count."""
+
+    @pytest.mark.parametrize("l", [1, 2, 3])
+    @pytest.mark.parametrize("part", [S, C, M, ALL, DisjointUnionFam(C, S)],
+                             ids=lambda f: f.text())
+    def test_leaves_match_oracle_count(self, part, l):
+        prod = PartitionProduct((part,) * l)
+        table = enumerate_family(ALL, 6, keep_members=True)
+        for n in range(7):
+            for g in table.members[n]:
+                leaves = prod._partitions(g, Budget(), 2)
+                assert len(leaves) == min(2, count_partitions(g, part, l)), \
+                    f"{prod.text()} on {graph6.encode(g)}"
+                res = prod.membership(g)
+                assert res.member == bool(leaves)
+                if leaves:
+                    assert [tuple(bits(m)) for m in leaves[0][0]] == \
+                        list(res.certificate.parts)
 
 
 class TestBudget:
