@@ -6,6 +6,12 @@ leaves compared by the packed upper triangle of the relabeled graph, subtree
 pruning via automorphisms discovered at repeated leaves.  The canonical form
 is the least leaf encoding.
 
+A leaf equal to the first one gives an automorphism fixing the path prefix
+the two share, so the subtree below their branching is an image of one
+searched in full and holds no smaller leaf: the search backjumps to the
+first-path node it branched from (nauty's rule), and a symmetric group on
+n points costs n - 1 generators.
+
 Refinement splits cells by bit masks and skips splitters that cannot
 split anything.  A singleton splitter splits each cell with two mask
 operations; a larger splitter's neighbour counts are summed in bit planes
@@ -279,6 +285,11 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             # first one is equal to best only while best is the first
             if enc == first[0]:
                 record_aut(first[1], lab)
+                # back to the first-path node this path branched from
+                k = 0
+                while prefix[k] == first[2][k]:
+                    k += 1
+                return k
             elif enc < best[0]:
                 best = (enc, lab)
             elif enc == best[0] and lab != best[1]:
@@ -301,8 +312,10 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             tried.append(v)
             # every other cell of the child is a cell of the equitable
             # partition just refined, so it cannot split anything
-            search(head + [b, cell ^ b] + tail, prefix + (v,), pmask | b,
-                   [b, cell ^ b])
+            k = search(head + [b, cell ^ b] + tail, prefix + (v,),
+                       pmask | b, [b, cell ^ b])
+            if k is not None and k < len(prefix):
+                return k
 
     search(initial, (), 0, None)
     lab = best[1]
@@ -315,10 +328,11 @@ def _first_path_order(path, gens, n):
     """|<gens>| as the product over the first path of |orbit of path[i]|
     under the generators fixing path[:i] pointwise.
 
-    Every first-path child not pruned by orbit_hit had its subtree searched,
-    which finds an automorphism onto it when one exists; so these orbits
-    are the full stabilizer orbits, and the stabilizer of the whole path is
-    trivial because its refined partition is discrete.
+    Every first-path child not pruned by orbit_hit had its subtree searched
+    up to a leaf equal to the first one, if any, whose automorphism fixes
+    path[:i] and maps path[i] onto the child; the backjump skips only the
+    rest of that subtree.  So these orbits are the full stabilizer orbits,
+    and the stabilizer of the whole path is trivial (a discrete partition).
     """
     order = 1
     fixers = gens

@@ -57,19 +57,21 @@ class SpeedTable:
     h(n) = log2(labeled[n]) as a float for display; every consumer that
     needs to *compare* speeds works on the exact integers instead.
     members[n] holds the canonical representatives, sorted by adjacency
-    encoding, when the run kept them, and auts[n][i] is |Aut| of
-    members[n][i], so a weighted count over members needs no canonical
-    form; both are None when members were not kept.
+    encoding, when the run kept them; auts[n][i] is |Aut| of members[n][i]
+    and gens[n][i] generates its Aut on canonical labels, so a weighted
+    count or an orbit over members needs no canonical form.  All three
+    are None when members were not kept.
     """
 
     def __init__(self, family_text, n_max, unlabeled, labeled, members=None,
-                 auts=None):
+                 auts=None, gens=None):
         self.family_text = family_text
         self.n_max = n_max
         self.unlabeled = list(unlabeled)
         self.labeled = list(labeled)
         self.members = members
         self.auts = auts
+        self.gens = gens
         self.h_bits = [math.log2(c) if c > 0 else float("-inf")
                        for c in self.labeled]
 
@@ -285,6 +287,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     unlabeled, labeled = [], []
     members = [] if keep_members else None
     auts = [] if keep_members else None
+    gens = [] if keep_members else None
     recs = []
     try:
         for n in range(n_max + 1):
@@ -306,12 +309,14 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             if members is not None:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
                 auts.append([aut for _, _, aut in recs])
+                gens.append([g for _, g, _ in recs])
     finally:
         if pool is not None:
             pool.close()
             pool.join()
 
-    return SpeedTable(f.text(), n_max, unlabeled, labeled, members, auts)
+    return SpeedTable(f.text(), n_max, unlabeled, labeled, members, auts,
+                      gens)
 
 
 # ---------------------------------------------------------------------------

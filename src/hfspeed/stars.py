@@ -607,9 +607,8 @@ def _keyed_star_systems(s: int):
     out = []
     for size in range(s + 1):
         phi = (0,) * size
-        for j in table.members[size]:
+        for j, gens in zip(table.members[size], table.gens[size]):
             # alpha up to Aut(J); distinct J are never isomorphic
-            gens = canonical_form(j).generators
             for abits in subset_orbit_reps(size, gens):
                 alpha = tuple(abits >> v & 1 for v in range(size))
                 systems = [sy for sy in (StarSystem(j, alpha, 0),

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .canon import vertex_orbit
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import (
     AtomAll,
@@ -212,16 +213,20 @@ def enumerate_reduced(f: Family, l: int, n_max: int, *,
                       threads: int = 1) -> SpeedTable:
     """Exhaustive enumeration of red(f) up to n_max vertices, members kept.
 
-    Every emitted member has each of its one-vertex-deleted subgraphs
-    re-checked as reduced; a violation would invalidate the augmentation
-    scheme itself, so it raises.
+    Every emitted member has its one-vertex-deleted subgraphs re-checked
+    as reduced, one deletion per Aut orbit of vertices: deletions in one
+    orbit give isomorphic graphs.  A violation would invalidate the
+    augmentation scheme itself, so it raises.
     """
     fam = ReducedFamily(f, l)
     table = enumerate_family(fam, n_max, budget_limit=budget_limit,
                              threads=threads)
     for n in range(1, n_max + 1):
-        for g in table.members[n]:
-            for v in range(g.n):
+        for g, gens in zip(table.members[n], table.gens[n]):
+            left = (1 << n) - 1
+            while left:
+                v = (left & -left).bit_length() - 1
+                left &= ~vertex_orbit(v, gens, n)
                 if not is_reduced(delete_vertex(g, v), f, l,
                                   budget_limit).reduced:
                     raise RuntimeError(

@@ -197,20 +197,61 @@ def _labeling_battery():
     return graphs + named + [complement(g) for g in named], rng
 
 
-class TestPinnedLabeling:
-    # recorded before refinement skipped the no-op splitters: the
-    # canonical labeling, |Aut| and the generators must not move
-    PINNED = (5636, "33fcad74909ec9e2")
+@pytest.fixture(scope="module")
+def labeling_battery():
+    """The battery's size and its (graph, cells, canonical form) triples,
+    each graph once plain and once with seeded random cells."""
+    graphs, rng = _labeling_battery()
+    return len(graphs), [(g, cells, canonical_form(g, cells)) for g in graphs
+                         for cells in (None, _random_cells(rng, g.n))]
 
-    def test_pinned_battery(self):
-        graphs, rng = _labeling_battery()
-        h = hashlib.sha256()
-        for g in graphs:
-            for cells in (None, _random_cells(rng, g.n)):
-                cf = canonical_form(g, cells)
-                h.update(repr((cf.canon.rows, cf.labeling, cf.aut_order,
-                               cf.generators)).encode())
-        assert (len(graphs), h.hexdigest()[:16]) == self.PINNED
+
+def _battery_digest(battery, fields):
+    size, forms = battery
+    h = hashlib.sha256()
+    for _, _, cf in forms:
+        h.update(repr(fields(cf)).encode())
+    return size, h.hexdigest()[:16]
+
+
+class TestPinnedLabeling:
+    # recorded before refinement skipped the no-op splitters and again
+    # before the search backjumped at its first automorphism: the
+    # canonical labeling and |Aut| must not move
+    PINNED_FORM = (5636, "8668b131fcce5aca")
+    # the generators as well; re-recorded when the backjump stopped
+    # collecting automorphisms of subtrees already known to be images
+    PINNED = (5636, "dcc3eb23a1d7d0a9")
+
+    def test_pinned_forms(self, labeling_battery):
+        assert _battery_digest(labeling_battery, lambda cf: (
+            cf.canon.rows, cf.labeling, cf.aut_order)) == self.PINNED_FORM
+
+    def test_pinned_battery(self, labeling_battery):
+        assert _battery_digest(labeling_battery, lambda cf: (
+            cf.canon.rows, cf.labeling, cf.aut_order,
+            cf.generators)) == self.PINNED
+
+    def test_generators_generate_aut(self, labeling_battery):
+        # Schreier-Sims takes up to half a second on the groups of order
+        # 10**6 and more (sparse graphs at n = 13..16, K_n, mK_k), about
+        # 25 s over the battery, so those are checked for automorphisms
+        # only; edgeless(n) below covers the symmetric groups
+        for g, cells, cf in labeling_battery[1]:
+            for p in cf.generators:
+                assert relabel(g, p) == g
+                for c in cells or ():
+                    assert sum(1 << p[v] for v in bits(c)) == c
+            if cf.aut_order < 10 ** 6:
+                assert group_order(cf.generators, g.n) == cf.aut_order
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_edgeless_needs_n_minus_1_generators(self, n):
+        # one transposition per first-path node; without the backjump every
+        # leaf equal to the first added one, C(n, 2) in all
+        cf = canonical_form(edgeless(n))
+        assert len(cf.generators) == n - 1
+        assert group_order(cf.generators, n) == math.factorial(n)
 
 
 def _is_equitable(rows, cells):

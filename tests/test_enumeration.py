@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from hfspeed.canon import canonical_form, canonical_graph
+from hfspeed.canon import canonical_form, canonical_graph, group_order
 from hfspeed.enumeration import (
     DeltaReport, SpeedTable, enumerate_family, labeled_count_direct,
     speed_delta,
@@ -17,7 +17,7 @@ from hfspeed.errors import (
 from hfspeed.families import (
     ALL, Apex, C, Forb, HST, Iota, M, PartitionProduct, S,
 )
-from hfspeed.graphs import complete, cycle, path
+from hfspeed.graphs import complete, cycle, path, relabel
 from oracles import brute_embeds_induced
 
 
@@ -111,10 +111,15 @@ class TestMembers:
             enumerate_family(fam, 5, **kw)
         t = enumerate_family(fam, 7, **kw)
         assert [len(a) for a in t.auts] == t.unlabeled
+        assert [len(g) for g in t.gens] == t.unlabeled
         for n in range(8):
             assert t.auts[n] == [canonical_form(g).aut_order
                                  for g in t.members[n]]
-        assert enumerate_family(fam, 3, keep_members=False).auts is None
+            for g, gens, aut in zip(t.members[n], t.gens[n], t.auts[n]):
+                assert all(relabel(g, p) == g for p in gens)
+                assert group_order(gens, n) == aut
+        bare = enumerate_family(fam, 3, keep_members=False)
+        assert bare.auts is None and bare.gens is None
 
 
 class TestValidation:
@@ -338,6 +343,42 @@ class TestCheckpoints:
         assert resumed.members == fresh.members
         for name in names:
             assert (ck / name).read_bytes() == (fresh_dir / name).read_bytes()
+
+    def test_redundant_generators_resume_to_the_same_groups(self, tmp_path):
+        # level files may carry more generators than the search now finds
+        # (it once kept one per leaf equal to the first); the record shape
+        # is the same, so they load, and a generating set of the same
+        # group reduces the same subsets
+        fam = Forb([complete(3)])
+        ck = str(tmp_path)
+        enumerate_family(fam, 5, checkpoint_dir=ck)
+        extra = 0
+        for name in os.listdir(ck):
+            path = os.path.join(ck, name)
+            with open(path, "rb") as fh:
+                head, recs = pickle.loads(fh.read()[:-32])
+            n = head[1]
+            ident = tuple(range(n))
+            padded = []
+            for rows, gens, aut in recs:
+                more = {tuple(p[q[i]] for i in range(n))
+                        for p in gens for q in gens} - set(gens) - {ident}
+                extra += len(more)
+                padded.append((rows, gens + tuple(sorted(more)), aut))
+            body = pickle.dumps((head, padded))
+            with open(path, "wb") as fh:
+                fh.write(body + hashlib.sha256(body).digest())
+        assert extra > 0
+        resumed = enumerate_family(fam, 7, checkpoint_dir=ck)
+        fresh = enumerate_family(fam, 7)
+        assert resumed.to_csv() == fresh.to_csv()
+        assert resumed.members == fresh.members
+        assert resumed.auts == fresh.auts
+        for n in range(8):
+            for a, b in zip(resumed.gens[n], fresh.gens[n]):
+                # <a> = <b>: equal orders, and b adds nothing to a
+                assert group_order(a, n) == group_order(a + b, n) \
+                    == group_order(b, n)
 
     def test_damaged_level_is_recomputed_without_unpickling(
             self, tmp_path, monkeypatch):

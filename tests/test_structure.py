@@ -2,6 +2,7 @@ import pickle
 
 import pytest
 
+from hfspeed.canon import canonical_graph
 from hfspeed.enumeration import enumerate_family, SpeedTable
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
@@ -15,7 +16,8 @@ from hfspeed.graphs import (
     star,
 )
 from hfspeed.structure import (
-    ApexFreeResult, ColoringNumberResult, MeagerResult, ReducedFamily,
+    ApexFreeResult, ColoringNumberResult, MeagerResult,
+    ReducedClassification, ReducedFamily,
     coloring_number, enumerate_reduced, is_apex_free, is_balanced,
     is_extendable_upto, is_meager, is_reduced, reduced_product,
     smoothness_report, substar,
@@ -175,6 +177,44 @@ class TestEnumerateReduced:
     def test_heredity_verification_runs(self):
         # default-on verifier walks all one-vertex deletions without raising
         enumerate_reduced(Forb([cycle(5)]), 2, 5)
+
+    @pytest.mark.parametrize("fam,bad", [
+        (Forb([matching(2)]), complete(3)),
+        (Forb([cycle(5)]), path(3)),
+    ], ids=["K3-in-red(forb(2K2))", "P3-in-red(forb(C5))"])
+    def test_heredity_failure_raises(self, fam, bad, monkeypatch):
+        # the re-check deletes one vertex per Aut orbit; a class called
+        # dangerous must still be met whichever vertex of it is deleted
+        import hfspeed.structure as structure
+        real = structure.is_reduced
+        key = canonical_graph(bad)
+        hits = []
+
+        def one_class_dangerous(h, f, l, budget_limit=None):
+            if canonical_graph(h) == key:
+                hits.append(h)
+                return ReducedClassification(h, False, None, ())
+            return real(h, f, l, budget_limit)
+
+        monkeypatch.setattr(structure, "is_reduced", one_class_dangerous)
+        with pytest.raises(RuntimeError, match="heredity"):
+            enumerate_reduced(fam, 2, 5)
+        assert len(hits) == 1
+
+    def test_heredity_recheck_runs_once_per_vertex_orbit(self, monkeypatch):
+        # red(forb(2K2)) is edgeless(n) and K_n from n = 2 on, one orbit
+        # each: 1 + 2 * 9 calls to n = 10, where every vertex made 109
+        import hfspeed.structure as structure
+        real = structure.is_reduced
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(structure, "is_reduced", counted)
+        enumerate_reduced(Forb([matching(2)]), 2, 10)
+        assert len(calls) == 19
 
     def test_reduced_family_object(self):
         fam = ReducedFamily(Forb([matching(2)]), 2)
