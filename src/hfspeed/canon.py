@@ -10,7 +10,11 @@ A leaf equal to the first one gives an automorphism fixing the path prefix
 the two share, so the subtree below their branching is an image of one
 searched in full and holds no smaller leaf: the search backjumps to the
 first-path node it branched from (nauty's rule), and a symmetric group on
-n points costs n - 1 generators.
+n points costs n - 1 generators.  A first-path sibling v that is a twin
+of the first-path vertex w (same neighbours apart from each other) is not
+descended into: its leftmost leaf is the (w v)-image of the first, which
+would give the generator (w v) and the same backjump, unless a deeper
+first-path target cell holds v and a vertex between w and v.
 
 Refinement splits cells by bit masks and skips splitters that cannot
 split anything.  A singleton splitter splits each cell with two mask
@@ -39,8 +43,9 @@ time the search returns, so no group computation is needed.  group_order
 (a small deterministic Schreier-Sims) remains a public helper and the
 tests' oracle for that product.
 
-subset_orbit_reps images masks through two half-width lookup tables per
-generator, so one image costs two table reads instead of a bit loop.
+subset_orbits images masks through two half-width lookup tables per
+generator, so one image costs two table reads instead of a bit loop, and
+counts each orbit's size as it walks it.
 """
 
 from __future__ import annotations
@@ -186,7 +191,7 @@ def _encode_discrete(rows, cells):
 
 def _compose(a, b):
     """Permutation a after b: (a*b)[i] = a[b[i]]."""
-    return tuple(a[x] for x in b)
+    return tuple(map(a.__getitem__, b))
 
 
 def _inverse(a):
@@ -233,12 +238,13 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
 
     best = None          # (enc, labeling)
     first = None         # (enc, labeling, path) at the first leaf
+    first_cells = []     # first_cells[d]: target cell of the first path at d
     gens = []
     fixed = []           # fixed[i]: mask of the points gens[i] fixes
 
-    def record_aut(lab_a, lab_b):
-        # two labelings producing the same labeled graph: a^-1 b is an aut
-        sigma = _compose(_inverse(lab_a), lab_b)
+    # sigma: a^-1 b for labelings a, b giving the same labeled graph, or
+    # the swap of two twins
+    def record_aut(sigma):
         if sigma not in gens:
             fm = 0
             for i in range(n):
@@ -284,7 +290,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             # best only moves to a smaller leaf, so a leaf equal to the
             # first one is equal to best only while best is the first
             if enc == first[0]:
-                record_aut(first[1], lab)
+                record_aut(_compose(_inverse(first[1]), lab))
                 # back to the first-path node this path branched from
                 k = 0
                 while prefix[k] == first[2][k]:
@@ -293,7 +299,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             elif enc < best[0]:
                 best = (enc, lab)
             elif enc == best[0] and lab != best[1]:
-                record_aut(best[1], lab)
+                record_aut(_compose(_inverse(best[1]), lab))
             return
         target = 0
         while not cells[target] & (cells[target] - 1):
@@ -301,6 +307,9 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
         cell = cells[target]
         head = cells[:target]
         tail = cells[target + 1:]
+        on_first = first is None
+        if on_first:
+            first_cells.append(cell)
         tried = []
         m = cell
         while m:
@@ -310,6 +319,16 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
             if tried and gens and orbit_hit(v, tried, pmask):
                 continue
             tried.append(v)
+            if on_first and len(tried) > 1:
+                w = tried[0]
+                between = (1 << v) - (2 << w)
+                if (rows[v] & ~(1 << w) == rows[w] & ~(1 << v)
+                        and not any(c >> v & 1 and c & between
+                                    for c in first_cells[len(prefix) + 1:])):
+                    # twins: the descent would only record (w v)
+                    record_aut(tuple(v if u == w else w if u == v else u
+                                     for u in range(n)))
+                    continue
             # every other cell of the child is a cell of the equitable
             # partition just refined, so it cannot split anything
             k = search(head + [b, cell ^ b] + tail, prefix + (v,),
@@ -328,9 +347,10 @@ def _first_path_order(path, gens, n):
     """|<gens>| as the product over the first path of |orbit of path[i]|
     under the generators fixing path[:i] pointwise.
 
-    Every first-path child not pruned by orbit_hit had its subtree searched
-    up to a leaf equal to the first one, if any, whose automorphism fixes
-    path[:i] and maps path[i] onto the child; the backjump skips only the
+    Every first-path child not pruned by orbit_hit either is a twin of
+    path[i], whose transposition fixes path[:i] and maps path[i] onto it,
+    or had its subtree searched up to a leaf equal to the first one, if
+    any, whose automorphism does the same; the backjump skips only the
     rest of that subtree.  So these orbits are the full stabilizer orbits,
     and the stabilizer of the whole path is trivial (a discrete partition).
     """
@@ -377,17 +397,19 @@ def group_order(generators, n: int) -> int:
                     frontier.append(y)
 
     def sift(p):
-        for i in range(len(base)):
-            x = p[base[i]]
-            if x not in orbits[i]:
-                return p, i
-            p = _compose(_inverse(orbits[i][x]), p)
+        for i, b in enumerate(base):
+            x = p[b]
+            if x != b:
+                if x not in orbits[i]:
+                    return p, i
+                p = _compose(_inverse(orbits[i][x]), p)
         return p, len(base)
 
     def add_gen(p):
+        # the deepest level that p's residue changed, or -1
         residue, level = sift(p)
         if residue == ident:
-            return False
+            return -1
         if level == len(base):
             pt = min(i for i in range(n) if residue[i] != i)
             base.append(pt)
@@ -396,24 +418,32 @@ def group_order(generators, n: int) -> int:
         for j in range(level + 1):
             gens_at[j].append(residue)
             rebuild_orbit(j)
-        return True
+        return level
 
     for p in gens:
         add_gen(p)
 
-    # verify the Schreier condition bottom-up; restart on any addition
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(base)):
-            for x in list(orbits[i]):
-                tx = orbits[i][x]
-                for p in gens_at[i]:
-                    schreier = _compose(_compose(_inverse(orbits[i][p[x]]), p), tx)
-                    if schreier != ident and add_gen(schreier):
-                        changed = True
-            if changed:
+    # verify the Schreier condition from the deepest level up: the levels
+    # deeper than i are complete, and an addition at level j changes the
+    # levels 0..j only, so the check resumes at j.  Orbits only grow and
+    # keep their transversal entries, so a Schreier generator that once
+    # sifted to the identity still does: done[i] holds its (point,
+    # generator) pairs
+    done = [set() for _ in range(n)]
+    i = len(base) - 1
+    while i >= 0:
+        j = -1
+        for x, tx in list(orbits[i].items()):
+            for k, p in enumerate(gens_at[i]):
+                if (x, k) in done[i]:
+                    continue
+                j = add_gen(_compose(_inverse(orbits[i][p[x]]), _compose(p, tx)))
+                if j >= 0:
+                    break
+                done[i].add((x, k))
+            if j >= 0:
                 break
+        i = j if j >= 0 else i - 1
 
     order = 1
     for orb in orbits:
@@ -447,29 +477,29 @@ def _mask_tables(perm, n):
     return table(0, h), table(h, n - h)
 
 
-def subset_orbit_reps(n: int, generators, masks=None):
-    """One representative per orbit of subsets of [n] under the generated
-    group: the least mask of each orbit, listed ascending.
+def subset_orbits(n: int, generators, masks=None):
+    """{least mask of the orbit: orbit size} for each orbit of subsets of
+    [n] under the generated group, in ascending order of the least mask.
 
     masks, when given, must be an ascending list closed under the group
-    (a union of orbits); only its orbits are reported.  Without it the
-    whole powerset is reduced.  With no generators every mask is its own
-    orbit.
+    (a union of orbits); only its orbits are reported, and their sizes
+    sum to len(masks).  Without it the whole powerset is reduced.  With
+    no generators every mask is its own orbit.
     """
     if masks is None:
         masks = range(1 << n)
     if not generators:
-        return list(masks)
+        return dict.fromkeys(masks, 1)
     h = n // 2
     lomask = (1 << h) - 1
     tables = [_mask_tables(p, n) for p in generators]
-    reps = []
+    orbits = {}
     seen = bytearray(1 << n)
     for m in masks:
         if seen[m]:
             continue
-        reps.append(m)
         seen[m] = 1
+        size = 1
         frontier = [m]
         while frontier:
             x = frontier.pop()
@@ -479,5 +509,12 @@ def subset_orbit_reps(n: int, generators, masks=None):
                 y = lo[xl] | hi[xh]
                 if not seen[y]:
                     seen[y] = 1
+                    size += 1
                     frontier.append(y)
-    return reps
+        orbits[m] = size
+    return orbits
+
+
+def subset_orbit_reps(n: int, generators, masks=None):
+    """The least mask of each orbit of subset_orbits, listed ascending."""
+    return list(subset_orbits(n, generators, masks))

@@ -84,7 +84,7 @@ def _read_graphs(args):
 def _run_speed(args):
     fam = parse_family(args.family)
     table = enumerate_family(fam, args.n_max, budget_limit=args.budget,
-                             threads=args.threads)
+                             threads=args.threads, keep_members=False)
     config = {"family": args.family, "n_max": args.n_max}
     if args.format == "json":
         return _json_text(table.to_json_obj()), "json", config

@@ -22,6 +22,12 @@ add_vertex and membership.  No-goods live for one parent's loop.  Forb
 gives the image of the pattern it found, H(2, 0) a shortest odd cycle
 through x; every other constructor gives none and decides every child.
 
+A counted level (the top of a run that keeps no members and writes no
+checkpoint) reads only how many classes there are and their |Aut|.  A
+child there whose new vertex x alone has the maximum invariant needs no
+canonical form: x is the canonical deletion vertex, Aut fixes it, and
+|Aut(child)| is |Aut(parent)| over the orbit size of x's neighbourhood.
+
 Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
 from the family's own membership engine, so enumeration and the direct
 labeled scan (labeled_count_direct) agree only if both are right; tests
@@ -38,7 +44,7 @@ import pickle
 from fractions import Fraction
 from itertools import combinations
 
-from .canon import canonical_form, subset_orbit_reps, vertex_invariant, vertex_orbit
+from .canon import canonical_form, subset_orbits, vertex_invariant, vertex_orbit
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .families import Budget, Family
@@ -60,7 +66,8 @@ class SpeedTable:
     encoding, when the run kept them; auts[n][i] is |Aut| of members[n][i]
     and gens[n][i] generates its Aut on canonical labels, so a weighted
     count or an orbit over members needs no canonical form.  All three
-    are None when members were not kept.
+    are None when members were not kept; such a run also skips the
+    canonical form of most top-level children (see enumerate_family).
     """
 
     def __init__(self, family_text, n_max, unlabeled, labeled, members=None,
@@ -109,11 +116,12 @@ def _budget_error(family, g, e):
 
 # one class per level entry: canonical rows, Aut generators (canonical
 # labels), |Aut|
-def _child_records(family, parents, n, budget_limit):
-    """All accepted (rows, gens, aut) children of the given parent records."""
+def _child_records(family, parents, n, budget_limit, counted):
+    """All accepted (rows, gens, aut) children of the given parent records;
+    (None, None, aut) on a counted level (see the module docstring)."""
     out = []
     nb = n + 1
-    for rows, gens in parents:
+    for rows, gens, aut in parents:
         degs = [r.bit_count() for r in rows]
         maxdeg = max(degs, default=0)
         # deg_mask[t] = vertices of parent degree >= t
@@ -127,11 +135,11 @@ def _child_records(family, parents, n, budget_limit):
             # new vertex needs the maximum degree in the child
             if t >= maxdeg and not sub & deg_mask[t]:
                 survivors.append(sub)
-        reps = subset_orbit_reps(n, gens, survivors)
+        orbits = subset_orbits(n, gens, survivors)
         parent = Graph.from_rows(rows)
         # no-goods: witness mask W -> the traces sub & W of rejected children
         nogoods = {}
-        for sub in reps:
+        for sub, size in orbits.items():
             if nogoods and any(sub & w in traces
                                for w, traces in nogoods.items()):
                 continue
@@ -150,9 +158,15 @@ def _child_records(family, parents, n, budget_limit):
             vmax = max(inv)
             if inv[n] != vmax:
                 continue
+            if counted and inv.count(vmax) == 1:
+                out.append((None, None, aut // size))
+                continue
             cf = canonical_form(child)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
+                continue
+            if counted:
+                out.append((None, None, cf.aut_order))
                 continue
             lab = cf.labeling
             inv_lab = [0] * nb
@@ -216,13 +230,14 @@ def _init_worker(blob, budget_limit):
 
 
 def _worker_chunk(args):
-    parents, n = args
-    return _child_records(_WORKER_FAMILY, parents, n, _WORKER_BUDGET)
+    parents, n, counted = args
+    return _child_records(_WORKER_FAMILY, parents, n, _WORKER_BUDGET,
+                          counted)
 
 
-def _level_records(f, n, below, budget_limit, pool, threads):
-    """The records of level n, sorted by rows, computed from the records
-    of level n - 1 (none for n = 0)."""
+def _level_records(f, n, below, budget_limit, pool, threads, counted):
+    """The records of level n, sorted by rows unless counted, computed
+    from the records of level n - 1 (none for n = 0)."""
     if n == 0:
         empty = Graph(0)
         try:
@@ -230,17 +245,17 @@ def _level_records(f, n, below, budget_limit, pool, threads):
         except ResourceLimitError as e:
             raise _budget_error(f, empty, e) from e
         return [(empty.rows, (), 1)] if member0.member else []
-    parents = [(rows, gens) for rows, gens, _ in below]
-    if pool is not None and len(parents) > 1:
-        chunk = max(1, len(parents) // (threads * 4))
-        tasks = [(parents[i:i + chunk], n - 1)
-                 for i in range(0, len(parents), chunk)]
+    if pool is not None and len(below) > 1:
+        chunk = max(1, len(below) // (threads * 4))
+        tasks = [(below[i:i + chunk], n - 1, counted)
+                 for i in range(0, len(below), chunk)]
         recs = []
         for part in pool.imap(_worker_chunk, tasks):
             recs.extend(part)
     else:
-        recs = _child_records(f, parents, n - 1, budget_limit)
-    recs.sort(key=lambda r: r[0])
+        recs = _child_records(f, below, n - 1, budget_limit, counted)
+    if not counted:
+        recs.sort(key=lambda r: r[0])
     return recs
 
 
@@ -260,6 +275,9 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     data, and is otherwise computed from the level below and written back
     atomically.  Loaded records are not re-canonicalised, so a forged file
     with a matching digest is taken on trust.
+    With keep_members=False and no checkpoint_dir the top level is only
+    counted: most of its children are accepted without a canonical form,
+    their |Aut| read off the parent's group, for the same counts.
     An exhausted membership budget raises ResourceLimitError naming the
     family, the level and the graph being decided.
     """
@@ -296,8 +314,11 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                 path = os.path.join(checkpoint_dir, f"enum-{stem}-{n:02d}.pkl")
                 recs = _read_level(path, (ident, n))
             if recs is None:
+                # the top level of a run that keeps and writes nothing is
+                # only counted
+                counted = n == n_max and not (keep_members or checkpoint_dir)
                 recs = _level_records(f, n, recs_below, budget_limit, pool,
-                                      threads)
+                                      threads, counted)
                 if checkpoint_dir:
                     out = io.BytesIO()
                     pickle.dump(((ident, n), recs), out)

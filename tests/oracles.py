@@ -276,15 +276,17 @@ def apply_perm_to_mask(mask, perm):
     return out
 
 
-def all_reps_child_records(family, parents, n, budget_limit):
+def all_reps_child_records(family, parents, n, budget_limit, counted):
     """The augmentation step that decides the membership of every orbit
     representative: the (rows, gens, aut) records of the accepted children
-    of the parent records, in the order the enumerator produces them.  It
-    shares the degree filter, the orbit reduction and the canonicity test
-    with the enumerator, so it pins the no-good skips and nothing else."""
+    of the parent records, in the order the enumerator produces them, or
+    when counted their (None, None, aut).  It shares the degree filter,
+    the orbit reduction and the canonicity test with the enumerator, so it
+    pins the no-good skips and the counted level's |Aut| and nothing else:
+    every child it accepts has a canonical form."""
     out = []
     nb = n + 1
-    for rows, gens in parents:
+    for rows, gens, _ in parents:
         degs = [r.bit_count() for r in rows]
         maxdeg = max(degs, default=0)
         deg_mask = [0] * (n + 2)
@@ -316,6 +318,8 @@ def all_reps_child_records(family, parents, n, budget_limit):
             gens_c = tuple(tuple(lab[p[inv_lab[q]]] for q in range(nb))
                            for p in cf.generators)
             out.append((cf.canon.rows, gens_c, cf.aut_order))
+    if counted:
+        return [(None, None, aut) for _, _, aut in out]
     return out
 
 

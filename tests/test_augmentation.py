@@ -41,12 +41,25 @@ def _table8(fam):
                          ids=lambda f: f.text())
 def test_child_records_equal_deciding_every_rep(fam):
     empty = Graph(0)
-    level = [(empty.rows, ())] if fam.membership(empty).member else []
+    level = [(empty.rows, (), 1)] if fam.membership(empty).member else []
     for n in range(7):
-        want = all_reps_child_records(fam, level, n, None)
-        assert _child_records(fam, level, n, None) == want, n
-        level = [(rows, gens) for rows, gens, _ in
-                 sorted(want, key=lambda r: r[0])]
+        want = all_reps_child_records(fam, level, n, None, False)
+        assert _child_records(fam, level, n, None, False) == want, n
+        level = sorted(want, key=lambda r: r[0])
+
+
+@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2],
+                         ids=lambda f: f.text())
+def test_counted_records_equal_deciding_every_rep(fam):
+    # a counted level takes |Aut| of a child whose new vertex alone has
+    # the maximum invariant from the parent's group, with no canonical form
+    empty = Graph(0)
+    level = [(empty.rows, (), 1)] if fam.membership(empty).member else []
+    for n in range(7):
+        want = all_reps_child_records(fam, level, n, None, True)
+        assert _child_records(fam, level, n, None, True) == want, n
+        level = sorted(_child_records(fam, level, n, None, False),
+                       key=lambda r: r[0])
 
 
 @pytest.mark.parametrize("fam", [Forb([complete(3)]), FORB_C5, HST(2, 0)],

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import os
@@ -17,7 +18,10 @@ from hfspeed.errors import (
 from hfspeed.families import (
     ALL, Apex, C, Forb, HST, Iota, M, PartitionProduct, S,
 )
+from hfspeed.graph6 import decode
 from hfspeed.graphs import complete, cycle, path, relabel
+from hfspeed.stars import Constellation, PJFamily
+from hfspeed.structure import ReducedFamily
 from oracles import brute_embeds_induced
 
 
@@ -172,6 +176,62 @@ class TestDeterminism:
         assert a == b
 
 
+# a family and the top level of its counted run
+COUNTED = [
+    (ALL, 7), (Forb([complete(3)]), 9), (HST(2, 0), 9), (HST(3, 0), 8),
+    (PJFamily(Constellation(decode("A?"), (0, 1), (1, 1), (0, 0))), 7),
+    (ReducedFamily(Forb([cycle(5)]), 2), 7),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _kept(fam, n):
+    return enumerate_family(fam, n)
+
+
+class TestCountedLevel:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("fam, n", COUNTED,
+                             ids=[f"{f.text()}-{n}" for f, n in COUNTED])
+    def test_counts_equal_a_members_kept_run(self, fam, n, threads):
+        counted = enumerate_family(fam, n, threads=threads,
+                                   keep_members=False)
+        assert counted.to_csv() == _kept(fam, n).to_csv()
+        assert counted.members is None
+
+    def test_top_level_takes_fewer_canonical_forms(self, monkeypatch):
+        import hfspeed.enumeration as enumeration
+        calls = []
+        real = enumeration.canonical_form
+
+        def spy(g):
+            calls.append(g.n)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", spy)
+        fam = Forb([complete(3)])
+        enumerate_family(fam, 8)
+        kept = sorted(calls)
+        calls.clear()
+        enumerate_family(fam, 8, keep_members=False)
+        # the levels below the top are built as before
+        assert [k for k in kept if k < 8] == [k for k in sorted(calls)
+                                              if k < 8]
+        assert calls.count(8) < kept.count(8)
+
+    def test_checkpointed_run_writes_the_same_files(self, tmp_path):
+        bare, kept = tmp_path / "bare", tmp_path / "kept"
+        fam = Forb([complete(3)])
+        t = enumerate_family(fam, 7, keep_members=False,
+                             checkpoint_dir=str(bare))
+        enumerate_family(fam, 7, checkpoint_dir=str(kept))
+        names = sorted(os.listdir(kept))
+        assert sorted(os.listdir(bare)) == names and len(names) == 8
+        for name in names:
+            assert (bare / name).read_bytes() == (kept / name).read_bytes()
+        assert t.unlabeled == TRIANGLE_FREE[:8]
+
+
 class _MakesMarker:
     """Unpickling one calls os.mkdir(path)."""
 
@@ -227,9 +287,9 @@ class TestCheckpoints:
         levels = []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit):
+        def spy(family, parents, n, budget_limit, counted):
             levels.append(n)
-            return real(family, parents, n, budget_limit)
+            return real(family, parents, n, budget_limit, counted)
 
         monkeypatch.setattr(enumeration, "_child_records", spy)
         t = enumerate_family(fam, 7, checkpoint_dir=ck)
@@ -298,9 +358,9 @@ class TestCheckpoints:
         levels = []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit):
+        def spy(family, parents, n, budget_limit, counted):
             levels.append(n)
-            return real(family, parents, n, budget_limit)
+            return real(family, parents, n, budget_limit, counted)
 
         monkeypatch.setattr(enumeration, "_child_records", spy)
         first = enumerate_family(fam, 6, checkpoint_dir=str(ck))
@@ -395,9 +455,9 @@ class TestCheckpoints:
         levels, loads = [], []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit):
+        def spy(family, parents, n, budget_limit, counted):
             levels.append(n)
-            return real(family, parents, n, budget_limit)
+            return real(family, parents, n, budget_limit, counted)
 
         class CountingUnpickler(enumeration._PlainUnpickler):
             def load(self):
