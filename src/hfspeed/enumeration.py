@@ -23,10 +23,14 @@ gives the image of the pattern it found, H(2, 0) a shortest odd cycle
 through x; every other constructor gives none and decides every child.
 
 A counted level (the top of a run that keeps no members and writes no
-checkpoint) reads only how many classes there are and their |Aut|.  A
+checkpoint) reads only how many classes there are, their |Aut| and, when
+the run tallies a second family `within`, whether each lies in it.  A
 child there whose new vertex x alone has the maximum invariant needs no
 canonical form: x is the canonical deletion vertex, Aut fixes it, and
 |Aut(child)| is |Aut(parent)| over the orbit size of x's neighbourhood.
+Its `within` test runs where the child is found, on the child's own
+labels (in the pool workers when there are any); a level below the top
+tests its records in sorted order on their canonical graphs.
 
 Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
 from the family's own membership engine, so enumeration and the direct
@@ -68,10 +72,12 @@ class SpeedTable:
     count or an orbit over members needs no canonical form.  All three
     are None when members were not kept; such a run also skips the
     canonical form of most top-level children (see enumerate_family).
+    within_labeled[n] is the labeled count of the members on [n] that also
+    lie in the run's `within` family, and None when no `within` was given.
     """
 
     def __init__(self, family_text, n_max, unlabeled, labeled, members=None,
-                 auts=None, gens=None):
+                 auts=None, gens=None, within_labeled=None):
         self.family_text = family_text
         self.n_max = n_max
         self.unlabeled = list(unlabeled)
@@ -79,6 +85,7 @@ class SpeedTable:
         self.members = members
         self.auts = auts
         self.gens = gens
+        self.within_labeled = within_labeled
         self.h_bits = [math.log2(c) if c > 0 else float("-inf")
                        for c in self.labeled]
 
@@ -107,18 +114,28 @@ class SpeedTable:
                 f"unlabeled={self.unlabeled})")
 
 
-def _budget_error(family, g, e):
-    """The budget error e of a membership call on g, naming the family,
-    the level (g's order) and g."""
-    return ResourceLimitError(f"{family.text()} at level {g.n}, graph "
-                              f"{graph6.encode(g)}: {e}")
+def _membership(family, g, budget_limit, new_vertex_only=False):
+    """family's verdict on g under a fresh budget; an exhausted budget
+    raises ResourceLimitError naming the family, the level (g's order)
+    and g."""
+    try:
+        return family.membership(g, Budget(budget_limit), new_vertex_only)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"{family.text()} at level {g.n}, graph "
+                                 f"{graph6.encode(g)}: {e}") from e
 
 
 # one class per level entry: canonical rows, Aut generators (canonical
 # labels), |Aut|
-def _child_records(family, parents, n, budget_limit, counted):
+def _child_records(family, parents, n, budget_limit, counted, within=None):
     """All accepted (rows, gens, aut) children of the given parent records;
-    (None, None, aut) on a counted level (see the module docstring)."""
+    on a counted level (None, inside, aut), where inside is the child's
+    verdict in `within`, None without one (see the module docstring)."""
+
+    def inside(child):
+        if within is not None:
+            return _membership(within, child, budget_limit).member
+
     out = []
     nb = n + 1
     for rows, gens, aut in parents:
@@ -144,11 +161,7 @@ def _child_records(family, parents, n, budget_limit, counted):
                                for w, traces in nogoods.items()):
                 continue
             child = add_vertex(parent, sub)
-            try:
-                res = family.membership(child, Budget(budget_limit),
-                                        new_vertex_only=True)
-            except ResourceLimitError as e:
-                raise _budget_error(family, child, e) from e
+            res = _membership(family, child, budget_limit, True)
             if not res.member:
                 w = family._rejection_support(child, res)
                 if w is not None:
@@ -159,14 +172,14 @@ def _child_records(family, parents, n, budget_limit, counted):
             if inv[n] != vmax:
                 continue
             if counted and inv.count(vmax) == 1:
-                out.append((None, None, aut // size))
+                out.append((None, inside(child), aut // size))
                 continue
             cf = canonical_form(child)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
                 continue
             if counted:
-                out.append((None, None, cf.aut_order))
+                out.append((None, inside(child), cf.aut_order))
                 continue
             lab = cf.labeling
             inv_lab = [0] * nb
@@ -219,41 +232,41 @@ def _read_level(path, header):
     return None
 
 
-_WORKER_FAMILY = None
-_WORKER_BUDGET = None
+_WORKER = None
 
 
 def _init_worker(blob, budget_limit):
-    global _WORKER_FAMILY, _WORKER_BUDGET
-    _WORKER_FAMILY = pickle.loads(blob)
-    _WORKER_BUDGET = budget_limit
+    global _WORKER
+    _WORKER = (*pickle.loads(blob), budget_limit)
 
 
 def _worker_chunk(args):
     parents, n, counted = args
-    return _child_records(_WORKER_FAMILY, parents, n, _WORKER_BUDGET,
-                          counted)
+    family, within, budget_limit = _WORKER
+    return _child_records(family, parents, n, budget_limit, counted, within)
 
 
-def _level_records(f, n, below, budget_limit, pool, threads, counted):
+def _level_records(f, n, below, budget_limit, pool, threads, counted, within):
     """The records of level n, sorted by rows unless counted, computed
     from the records of level n - 1 (none for n = 0)."""
     if n == 0:
         empty = Graph(0)
-        try:
-            member0 = f.membership(empty, Budget(budget_limit))
-        except ResourceLimitError as e:
-            raise _budget_error(f, empty, e) from e
-        return [(empty.rows, (), 1)] if member0.member else []
+        member0 = _membership(f, empty, budget_limit).member
+        return [(empty.rows, (), 1)] if member0 else []
     if pool is not None and len(below) > 1:
+        from concurrent.futures.process import BrokenProcessPool
         chunk = max(1, len(below) // (threads * 4))
         tasks = [(below[i:i + chunk], n - 1, counted)
                  for i in range(0, len(below), chunk)]
         recs = []
-        for part in pool.imap(_worker_chunk, tasks):
-            recs.extend(part)
+        try:
+            for part in pool.map(_worker_chunk, tasks):
+                recs.extend(part)
+        except BrokenProcessPool as e:
+            raise ResourceLimitError(f"{f.text()} at level {n}: a worker "
+                                     f"process died") from e
     else:
-        recs = _child_records(f, below, n - 1, budget_limit, counted)
+        recs = _child_records(f, below, n - 1, budget_limit, counted, within)
     if not counted:
         recs.sort(key=lambda r: r[0])
     return recs
@@ -261,7 +274,8 @@ def _level_records(f, n, below, budget_limit, pool, threads, counted):
 
 def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                      threads: int = 1, keep_members: bool = True,
-                     checkpoint_dir: str | None = None) -> SpeedTable:
+                     checkpoint_dir: str | None = None,
+                     within: Family | None = None) -> SpeedTable:
     """Exhaustive unlabeled enumeration of f up to n_max vertices.
 
     Refuses families that are not hereditary by construction (the
@@ -278,8 +292,12 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     With keep_members=False and no checkpoint_dir the top level is only
     counted: most of its children are accepted without a canonical form,
     their |Aut| read off the parent's group, for the same counts.
+    A `within` family is tallied alongside: within_labeled[n] counts the
+    members on [n] that lie in it, each class tested once on a fresh
+    budget (a counted top level tests its children on their own labels).
     An exhausted membership budget raises ResourceLimitError naming the
-    family, the level and the graph being decided.
+    family (f or within), the level and the graph being decided; so does
+    a pool worker that dies, naming f and the level.
     """
     if not f.hereditary:
         raise UnsupportedOperationError(
@@ -298,27 +316,29 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     pool = None
     if threads > 1:
         import multiprocessing as mp
-        pool = mp.get_context("fork").Pool(
-            threads, initializer=_init_worker,
-            initargs=(pickle.dumps(f), budget_limit))
+        from concurrent.futures import ProcessPoolExecutor
+        pool = ProcessPoolExecutor(
+            threads, mp.get_context("fork"), initializer=_init_worker,
+            initargs=(pickle.dumps((f, within)), budget_limit))
 
     unlabeled, labeled = [], []
     members = [] if keep_members else None
     auts = [] if keep_members else None
     gens = [] if keep_members else None
+    within_labeled = [] if within is not None else None
     recs = []
     try:
         for n in range(n_max + 1):
+            # the top level of a run that keeps and writes nothing is only
+            # counted (level 0 is built whole, never from parents)
+            counted = 0 < n == n_max and not (keep_members or checkpoint_dir)
             recs_below, recs = recs, None
             if checkpoint_dir:
                 path = os.path.join(checkpoint_dir, f"enum-{stem}-{n:02d}.pkl")
                 recs = _read_level(path, (ident, n))
             if recs is None:
-                # the top level of a run that keeps and writes nothing is
-                # only counted
-                counted = n == n_max and not (keep_members or checkpoint_dir)
                 recs = _level_records(f, n, recs_below, budget_limit, pool,
-                                      threads, counted)
+                                      threads, counted, within)
                 if checkpoint_dir:
                     out = io.BytesIO()
                     pickle.dump(((ident, n), recs), out)
@@ -327,17 +347,24 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             unlabeled.append(len(recs))
             fact = math.factorial(n)
             labeled.append(sum(fact // aut for _, _, aut in recs))
+            if within is not None:
+                # a counted level's records carry their children's verdicts
+                within_labeled.append(sum(
+                    fact // aut for rows, inside, aut in recs
+                    if (inside if counted else _membership(
+                        within, Graph.from_rows(rows), budget_limit).member)))
             if members is not None:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
                 auts.append([aut for _, _, aut in recs])
                 gens.append([g for _, g, _ in recs])
     finally:
         if pool is not None:
-            pool.close()
-            pool.join()
+            # nothing is pending after a whole run; after an error the
+            # queued chunks are dropped
+            pool.shutdown(cancel_futures=True)
 
     return SpeedTable(f.text(), n_max, unlabeled, labeled, members, auts,
-                      gens)
+                      gens, within_labeled)
 
 
 # ---------------------------------------------------------------------------

@@ -200,16 +200,55 @@ class TestVerifyKpr:
         assert int(r.rows[5]["total"]) - int(r.rows[5]["covered"]) == 72
         assert r.rows[5]["total"] == "27626"
 
+    @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("l, n_max", [(2, 9), (3, 7)])
-    def test_counts_match_separate_enumerations(self, l, n_max):
+    def test_counts_match_separate_enumerations(self, l, n_max, threads):
         # the two-enumeration route: H(l, 0) enumerated on its own, not
         # read off the K_{l+1}-free classes
-        r = verify_kpr(l, n_max)
+        r = verify_kpr(l, n_max, threads=threads)
         sub = enumerate_family(HST(l, 0), n_max, keep_members=False)
         sup = enumerate_family(Forb([complete(l + 1)]), n_max,
                                keep_members=False)
         assert [int(row["covered"]) for row in r.rows] == sub.labeled[1:]
         assert [int(row["total"]) for row in r.rows] == sup.labeled[1:]
+
+    def test_top_level_is_counted(self, monkeypatch):
+        # the top level keeps nothing, so most of its children get no
+        # canonical form
+        import hfspeed.enumeration as enumeration
+        forms, tops = [], []
+        real_form, real_records = (enumeration.canonical_form,
+                                   enumeration._child_records)
+
+        def form(g):
+            forms.append(g.n)
+            return real_form(g)
+
+        def records(family, parents, n, budget_limit, counted, *rest):
+            if n == 7:
+                tops.append(counted)
+            return real_records(family, parents, n, budget_limit, counted,
+                                *rest)
+
+        monkeypatch.setattr(enumeration, "canonical_form", form)
+        monkeypatch.setattr(enumeration, "_child_records", records)
+        r = verify_kpr(2, 8)
+        assert tops == [True]
+        assert r.rows[7]["total"] == "4682270"
+        assert forms.count(8) < 410  # forb(K3) has 410 classes at n = 8
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_top_level_budget_error_names_the_colouring(self, threads):
+        # budget 7 lasts through level 4 but not through the colourings of
+        # the counted top level, which run in the pool workers at 2 threads
+        t = enumerate_family(Forb([complete(4)]), 4, budget_limit=7,
+                             threads=threads, within=HST(3, 0))
+        assert t.within_labeled == t.labeled
+        with pytest.raises(ResourceLimitError) as info:
+            verify_kpr(3, 5, budget_limit=7, threads=threads)
+        msg = str(info.value)
+        assert msg.startswith("H(3, 0) at level 5, graph ")
+        assert msg.endswith("membership search exceeded node budget 7")
 
     def test_budget_error_names_the_colouring(self):
         # budget 7 lasts through forb(K4) to n = 6 (n + 1 nodes per

@@ -3,6 +3,9 @@ import hashlib
 import math
 import os
 import pickle
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -16,7 +19,7 @@ from hfspeed.errors import (
     ValidationError,
 )
 from hfspeed.families import (
-    ALL, Apex, C, Forb, HST, Iota, M, PartitionProduct, S,
+    ALL, Apex, C, Forb, HST, IntersectionFam, Iota, M, PartitionProduct, S,
 )
 from hfspeed.graph6 import decode
 from hfspeed.graphs import complete, cycle, path, relabel
@@ -232,6 +235,81 @@ class TestCountedLevel:
         assert t.unlabeled == TRIANGLE_FREE[:8]
 
 
+# (f, within) pairs whose tally is checked against their intersection
+WITHIN = [(ALL, HST(2, 0)), (Forb([complete(3)]), HST(2, 0)),
+          (Forb([cycle(5)]), Forb([complete(3)]))]
+
+
+class TestWithin:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("route", ["kept", "counted", "resumed"])
+    @pytest.mark.parametrize("f, g", WITHIN,
+                             ids=[f"{f.text()}-{g.text()}" for f, g in WITHIN])
+    def test_tally_is_the_intersections_count(self, f, g, route, threads,
+                                              tmp_path):
+        kw = {"threads": threads, "keep_members": route == "kept"}
+        if route == "resumed":
+            kw["checkpoint_dir"] = str(tmp_path)
+            enumerate_family(f, 5, **kw)
+        t = enumerate_family(f, 7, within=g, **kw)
+        both = enumerate_family(IntersectionFam(f, g), 7, keep_members=False)
+        assert t.within_labeled == both.labeled
+        assert t.to_csv() == _kept(f, 7).to_csv()
+        if route == "resumed":
+            # the tally leaves the level files as a run without it writes
+            plain = tmp_path / "plain"
+            enumerate_family(f, 7, checkpoint_dir=str(plain))
+            for name in os.listdir(plain):
+                assert (tmp_path / name).read_bytes() == \
+                    (plain / name).read_bytes()
+
+    def test_no_within_no_tally(self):
+        assert enumerate_family(ALL, 3).within_labeled is None
+        assert enumerate_family(ALL, 0, within=S).within_labeled == [1]
+
+
+# a pool worker of enumerate_family(forb(K3), 7, threads=2) kills itself
+# while computing level 5; the run must end with a typed refusal
+DEAD_WORKER = """
+import os, signal
+import hfspeed.enumeration as enumeration
+from hfspeed.errors import ResourceLimitError
+from hfspeed.families import Forb
+from hfspeed.graphs import complete
+
+main, real = os.getpid(), enumeration._child_records
+
+def dies(family, parents, n, *rest):
+    if n == 4 and os.getpid() != main:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return real(family, parents, n, *rest)
+
+enumeration._child_records = dies
+try:
+    enumeration.enumerate_family(Forb([complete(3)]), 7, threads=2)
+except ResourceLimitError as e:
+    print(e)
+"""
+
+
+class TestPool:
+    def test_dead_worker_is_a_typed_refusal(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", DEAD_WORKER],
+            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the run hung after a pool worker died")
+        assert proc.returncode == 0, err
+        assert out == "forb(K3) at level 5: a worker process died\n"
+
+
 class _MakesMarker:
     """Unpickling one calls os.mkdir(path)."""
 
@@ -287,9 +365,9 @@ class TestCheckpoints:
         levels = []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit, counted):
+        def spy(family, parents, n, *rest):
             levels.append(n)
-            return real(family, parents, n, budget_limit, counted)
+            return real(family, parents, n, *rest)
 
         monkeypatch.setattr(enumeration, "_child_records", spy)
         t = enumerate_family(fam, 7, checkpoint_dir=ck)
@@ -358,9 +436,9 @@ class TestCheckpoints:
         levels = []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit, counted):
+        def spy(family, parents, n, *rest):
             levels.append(n)
-            return real(family, parents, n, budget_limit, counted)
+            return real(family, parents, n, *rest)
 
         monkeypatch.setattr(enumeration, "_child_records", spy)
         first = enumerate_family(fam, 6, checkpoint_dir=str(ck))
@@ -455,9 +533,9 @@ class TestCheckpoints:
         levels, loads = [], []
         real = enumeration._child_records
 
-        def spy(family, parents, n, budget_limit, counted):
+        def spy(family, parents, n, *rest):
             levels.append(n)
-            return real(family, parents, n, budget_limit, counted)
+            return real(family, parents, n, *rest)
 
         class CountingUnpickler(enumeration._PlainUnpickler):
             def load(self):

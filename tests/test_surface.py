@@ -50,6 +50,6 @@ def test_enumeration_parameters():
 
     assert names(hfspeed.enumerate_family) == [
         "f", "n_max", "budget_limit", "threads", "keep_members",
-        "checkpoint_dir"]
+        "checkpoint_dir", "within"]
     assert names(hfspeed.enumerate_reduced) == [
         "f", "l", "n_max", "budget_limit", "threads"]
