@@ -84,7 +84,6 @@ from .stars import (
     PJFamily,
     StarSystem,
     Template,
-    constellation_host,
     constellation_irreducible,
     find_template,
     generate_constellations,

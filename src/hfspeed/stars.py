@@ -16,6 +16,11 @@ embedded by the induced-embedding kernel of hfspeed.graphs (_embed) and
 the rest split into crowns by its typed-part kernel (_typed_parts, set up
 by _assign_crowns); find_template is the same search with W = V(J).
 
+One-part keys (irreducible_star_systems, the l = 1 grids) are read off
+J's own canonical form coloured by alpha, not the gadget of
+Constellation.canonical_key: its single anchor refines nothing and
+prefixes every leaf code alike (see _keyed_star_systems).
+
 The crown definition quantifies over every vertex, including crown
 vertices themselves; for those the "adjacent to all" branch is read as
 all of the crown minus the vertex, which is the reading forced by the
@@ -85,6 +90,13 @@ def is_s_star(g: Graph, s: int) -> bool:
 # ---------------------------------------------------------------------------
 # star systems
 
+def _fill(obj, *fields):
+    """Set the slots of an immutable record in order; returns obj."""
+    for name, value in zip(type(obj).__slots__, fields):
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 class StarSystem:
     """A star system (J, alpha, beta).
 
@@ -103,9 +115,13 @@ class StarSystem:
             raise ValidationError("alpha must map V(J) to {0,1}")
         if beta not in (0, 1):
             raise ValidationError("beta must be 0 or 1")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", int(beta))
+        _fill(self, j, alpha, int(beta))
+
+    @classmethod
+    def _trusted(cls, j, alpha, beta):
+        """The constructor's system, from fields of already validated
+        objects (alpha a 0/1 tuple, beta an int), without its checks."""
+        return _fill(object.__new__(cls), j, alpha, beta)
 
     def __setattr__(self, *a):
         raise AttributeError("StarSystem is immutable")
@@ -114,7 +130,8 @@ class StarSystem:
         return (StarSystem, (self.j, self.alpha, self.beta))
 
     def as_constellation(self) -> "Constellation":
-        return Constellation(self.j, (0,) * self.j.n, self.alpha, (self.beta,))
+        return Constellation._trusted(self.j, (0,) * self.j.n, self.alpha,
+                                      (self.beta,))
 
     def to_json_obj(self):
         return {"j": graph6.encode(self.j), "alpha": list(self.alpha),
@@ -152,14 +169,15 @@ def star_system_irreducible(sys: StarSystem) -> bool:
     meaning wins here and the host cross-check in the test suite replays
     every verdict against an explicit host.
     """
-    j, alpha, beta = sys.j, sys.alpha, sys.beta
-    for v in range(j.n):
-        if alpha[v] != beta:
-            continue
-        if all((j.rows[u] >> v & 1) == alpha[u]
-               for u in range(j.n) if u != v):
-            return False
-    return True
+    return _irreducible(sys.j.rows, sys.alpha, sys.beta)
+
+
+def _irreducible(rows, alpha, beta) -> bool:
+    """star_system_irreducible on bare fields: v is removable iff
+    alpha(v) = beta and N(v) is exactly the other vertices of alpha 1."""
+    ones = mask_of(v for v, a in enumerate(alpha) if a)
+    return not any(a == beta and rows[v] == ones & ~(1 << v)
+                   for v, a in enumerate(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -189,10 +207,13 @@ class Constellation:
             raise ValidationError("phi must map V(J) into the parts")
         if len(alpha) != j.n or any(a not in (0, 1) for a in alpha):
             raise ValidationError("alpha must map V(J) to {0,1}")
-        object.__setattr__(self, "j", j)
-        object.__setattr__(self, "phi", phi)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        _fill(self, j, phi, alpha, beta)
+
+    @classmethod
+    def _trusted(cls, j, phi, alpha, beta):
+        """The constructor's constellation, from fields of already
+        validated objects (int tuples), without its checks."""
+        return _fill(object.__new__(cls), j, phi, alpha, beta)
 
     def __setattr__(self, *a):
         raise AttributeError("Constellation is immutable")
@@ -216,8 +237,9 @@ class Constellation:
 
     def system(self, i: int) -> StarSystem:
         vs = self.fiber(i)
-        return StarSystem(induced_subgraph(self.j, vs),
-                          tuple(self.alpha[v] for v in vs), self.beta[i])
+        return StarSystem._trusted(induced_subgraph(self.j, vs),
+                                   tuple(self.alpha[v] for v in vs),
+                                   self.beta[i])
 
     def systems(self):
         return tuple(self.system(i) for i in range(self.l))
@@ -262,32 +284,6 @@ class Constellation:
 def constellation_irreducible(c: Constellation) -> bool:
     """Componentwise: every fiber system must be irreducible."""
     return all(star_system_irreducible(c.system(i)) for i in range(c.l))
-
-
-def constellation_host(c: Constellation, crown_sizes) -> Graph:
-    """A host admitting a template: each fiber system gets its own crown,
-    no edges across parts beyond those of J.  Part i occupies the fiber
-    vertices (J labels) followed by its crown block."""
-    crown_sizes = list(crown_sizes)
-    if len(crown_sizes) != c.l or any(m < 0 for m in crown_sizes):
-        raise ValidationError("need one crown size >= 0 per part")
-    k = c.j.n
-    n = k + sum(crown_sizes)
-    rows = list(c.j.rows) + [0] * (n - k)
-    base = k
-    for i in range(c.l):
-        m = crown_sizes[i]
-        cmask = ((1 << m) - 1) << base
-        for v in range(k):
-            if c.phi[v] == i and c.alpha[v]:
-                rows[v] |= cmask
-                for w in range(base, base + m):
-                    rows[w] |= 1 << v
-        if c.beta[i]:
-            for w in range(base, base + m):
-                rows[w] |= cmask ^ (1 << w)
-        base += m
-    return Graph.from_rows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +579,7 @@ def irreducible_star_systems(s: int) -> list[StarSystem]:
 
     Each class is represented by its least alpha mask over the canonical
     J, the first one a scan of every alpha would meet.  The keys come
-    from _keyed_star_systems, one gadget canonical form per (J, alpha).
+    from _keyed_star_systems, one coloured canonical form of J per (J, alpha).
     """
     return [sy for _, sy in _keyed_star_systems(s)]
 
@@ -592,11 +588,15 @@ def _keyed_star_systems(s: int):
     """(canonical key, system) for every irreducible system with core at
     most s, one per class, sorted by key.
 
-    The l = 1 gadget has a single anchor, alone in the first cell whether
-    beta is 0 or 1, so both betas of a (J, alpha) have the same canonical
-    form and their keys differ only in the anchor's color count.  The
-    form is computed once per (J, alpha), and only when some beta gives
-    an irreducible system.
+    Each key is Constellation.canonical_key of the one-part system, read
+    off J's canonical form coloured by alpha's classes [A0, A1].  The
+    gadget's one anchor, joined to every core vertex and alone in the
+    first cell, adds 1 to every core degree and the top degree to every
+    neighbour list (so the invariant order in A0 and A1 is J's), splits
+    no cell, is never a target and puts one prefix, its row, on every
+    leaf code.  So the gadget's canonical rows are full(J) << 1 followed
+    by r << 1 | 1 for each canonical row r of J.  Both betas share that
+    form, computed once per (J, alpha) when some beta is irreducible.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
@@ -606,22 +606,21 @@ def _keyed_star_systems(s: int):
     table = enumerate_family(ALL, s, keep_members=True)
     out = []
     for size in range(s + 1):
-        phi = (0,) * size
+        full = (1 << size) - 1
         for j, gens in zip(table.members[size], table.gens[size]):
             # alpha up to Aut(J); distinct J are never isomorphic
             for abits in subset_orbit_reps(size, gens):
                 alpha = tuple(abits >> v & 1 for v in range(size))
-                systems = [sy for sy in (StarSystem(j, alpha, 0),
-                                         StarSystem(j, alpha, 1))
-                           if star_system_irreducible(sy)]
-                if not systems:
+                betas = [b for b in (0, 1) if _irreducible(j.rows, alpha, b)]
+                if not betas:
                     continue
-                cf, groups = _gadget_form(j.rows, phi, alpha, (0,))
-                a0, a1 = groups[2].bit_count(), groups[3].bit_count()
-                for sy in systems:
-                    # Constellation.canonical_key of sy.as_constellation()
-                    sizes = (1 - sy.beta, sy.beta, a0, a1)
-                    out.append(((size, 1, sizes, cf.canon.rows), sy))
+                cells = [m for m in (full ^ abits, abits) if m]
+                rows = (full << 1,) + tuple(
+                    r << 1 | 1 for r in canonical_form(j, cells).canon.rows)
+                a1 = abits.bit_count()
+                for b in betas:
+                    key = (size, 1, (1 - b, b, size - a1, a1), rows)
+                    out.append((key, StarSystem._trusted(j, alpha, b)))
     out.sort(key=lambda ks: ks[0])
     return out
 
@@ -639,8 +638,8 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
     The final canonical-key dedup is a safety net on top of that
     argument, and its key is also the sort order of the output.  At
     l = 1 each constellation is a component system, emitted with the key
-    _keyed_star_systems sorted it by; every other assembly is keyed by
-    Constellation.canonical_key.
+    _keyed_star_systems sorted it by, read off J's own coloured form;
+    every other assembly is keyed by Constellation.canonical_key.
     """
     if l < 1:
         raise ValidationError("constellations need at least one part")
@@ -677,9 +676,6 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         pairs = [(offs[i] + u, offs[jx] + v)
                  for i in range(l) for jx in range(i + 1, l)
                  for u in range(sizes[i]) for v in range(sizes[jx])]
-        if not pairs:
-            emit(Constellation(Graph.from_rows(base), phi, alpha, beta))
-            continue
         pair_idx = {}
         for idx, (u, v) in enumerate(pairs):
             pair_idx[(u, v)] = idx
@@ -687,17 +683,19 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         # Aut of the cross-edge-free assembly, on the core vertices: the
         # colored-gadget group, so exactly fiber-block permutations between
         # identical systems composed with internal alpha-preserving
-        # automorphisms
-        cf, _ = _gadget_form(base, phi, alpha, beta)
+        # automorphisms; without cross pairs the one code is 0
+        gens = () if not pairs else _gadget_form(
+            base, phi, alpha, beta)[0].generators
         pperms = [tuple(pair_idx[(p[u], p[v])] for u, v in pairs)
-                  for p in cf.generators]
+                  for p in gens]
         for code in subset_orbit_reps(len(pairs), pperms):
             rows = list(base)
             for b in bits(code):
                 u, v = pairs[b]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            emit(Constellation(Graph.from_rows(rows), phi, alpha, beta))
+            emit(Constellation._trusted(Graph.from_rows(rows), phi, alpha,
+                                        beta))
     return [out[k] for k in sorted(out)]
 
 

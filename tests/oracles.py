@@ -17,6 +17,7 @@ from hfspeed.families import (
     ComplementFamily, DisjointUnionFam, Forb, HST,
     IntersectionFam, Iota, JoinFam, PartitionProduct, UnionFam,
 )
+from hfspeed.errors import ValidationError
 from hfspeed.graphs import Graph, add_vertex, complement, induced_subgraph
 
 
@@ -344,3 +345,30 @@ def double_count_labeled(family, members, n):
                                     new_vertex_only=True).member)
         total += math.factorial(n) // cf.aut_order * ext
     return total
+
+
+def constellation_host(c, crown_sizes):
+    """A host admitting a template of the constellation c: each fiber
+    system gets its own crown, no edges across parts beyond those of J.
+    Part i occupies the fiber vertices (J labels) followed by its crown
+    block."""
+    crown_sizes = list(crown_sizes)
+    if len(crown_sizes) != c.l or any(m < 0 for m in crown_sizes):
+        raise ValidationError("need one crown size >= 0 per part")
+    k = c.j.n
+    n = k + sum(crown_sizes)
+    rows = list(c.j.rows) + [0] * (n - k)
+    base = k
+    for i in range(c.l):
+        m = crown_sizes[i]
+        cmask = ((1 << m) - 1) << base
+        for v in range(k):
+            if c.phi[v] == i and c.alpha[v]:
+                rows[v] |= cmask
+                for w in range(base, base + m):
+                    rows[w] |= 1 << v
+        if c.beta[i]:
+            for w in range(base, base + m):
+                rows[w] |= cmask ^ (1 << w)
+        base += m
+    return Graph.from_rows(rows)

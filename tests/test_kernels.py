@@ -18,10 +18,11 @@ from hfspeed.graphs import (
     find_induced_embedding, induced_subgraph, path, relabel, star,
 )
 from hfspeed.stars import (
-    Constellation, StarSystem, constellation_host, find_template,
-    is_member_PJ,
+    Constellation, StarSystem, find_template, is_member_PJ,
 )
-from oracles import all_labeled_graphs, brute_first_embedding
+from oracles import (
+    all_labeled_graphs, brute_first_embedding, constellation_host,
+)
 
 PATTERNS = [g for n in range(5) for g in all_labeled_graphs(n)]
 # every labeled host to 4 vertices, one host per class at 5 and 6

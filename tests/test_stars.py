@@ -19,13 +19,13 @@ from hfspeed.graphs import (
     join, matching, path, star,
 )
 from hfspeed.stars import (
-    Constellation, PJFamily, StarSystem, Template, constellation_host,
+    Constellation, PJFamily, StarSystem, Template,
     constellation_irreducible, find_template, generate_constellations,
     irreducible_star_systems, is_crown, is_member_PJ, is_minimal_nonstar,
     is_s_star, minimal_core, minimal_nonstar_scan,
     star_system_irreducible, verify_pj_certificate, verify_template,
 )
-from oracles import is_clique_mask, is_independent_mask
+from oracles import constellation_host, is_clique_mask, is_independent_mask
 
 K0 = Graph.from_rows([])
 
@@ -188,19 +188,24 @@ class TestStarSystems:
                             if star_system_irreducible(sy):
                                 scan.setdefault(sy.canonical_key(), sy)
             want = [scan[k] for k in sorted(scan)]
-            # one gadget canonical form per (J, alpha), shared by both betas
+            # one canonical form of J itself, coloured by alpha, per
+            # (J, alpha), shared by both betas; no gadget is built
             calls = []
-            form = stars._gadget_form
-            monkeypatch.setattr(stars, "_gadget_form",
-                                lambda *a: calls.append(1) or form(*a))
+            form = stars.canonical_form
+            monkeypatch.setattr(stars, "canonical_form",
+                                lambda g, cells: calls.append(g)
+                                or form(g, cells))
             assert irreducible_star_systems(s) == want
-            assert len(calls) == len({(sy.j, sy.alpha) for sy in want})
+            pairs = {(sy.j, sy.alpha) for sy in want}
+            assert sorted(g.rows for g in calls) == sorted(
+                j.rows for j, _ in pairs)
             monkeypatch.undo()
 
     def test_shared_keys_are_canonical_keys(self):
-        for s in range(6):
-            for key, sy in stars._keyed_star_systems(s):
-                assert key == sy.canonical_key()
+        # every (J, alpha) the one-part key path receives, up to the
+        # generation cap, against the gadget definition
+        for key, sy in stars._keyed_star_systems(6):
+            assert key == sy.canonical_key()
 
     def test_as_constellation(self):
         c = E2J.as_constellation()
@@ -506,6 +511,48 @@ class TestGeneration:
         for s in range(7):
             assert generate_constellations(1, s) == [
                 sy.as_constellation() for sy in irreducible_star_systems(s)]
+
+    def test_internal_builds_match_public_constructors(self):
+        # systems and constellations built inside, without the checks, are
+        # the objects the public constructors make from the same fields
+        def same(got, pub):
+            assert type(got) is type(pub)
+            assert got == pub and pub == got and hash(got) == hash(pub)
+            assert repr(got) == repr(pub)
+            assert got.to_json_obj() == pub.to_json_obj()
+            assert got.__reduce__() == pub.__reduce__()
+            assert pickle.loads(pickle.dumps(got)) == pub
+            for name in type(pub).__slots__:
+                a, b = getattr(got, name), getattr(pub, name)
+                assert type(a) is type(b)
+                if isinstance(b, tuple):
+                    assert all(type(x) is int for x in a)
+
+        grids = [generate_constellations(l, s) for l, s in
+                 [(1, 3), (2, 2), (3, 1), (2, 0)]]
+        systems = irreducible_star_systems(3) + [
+            sy for cs in grids for c in cs for sy in c.systems()]
+        for sy in systems:
+            same(sy, StarSystem(sy.j, list(sy.alpha), sy.beta))
+            same(sy.as_constellation(), Constellation(
+                sy.j, [0] * sy.j.n, list(sy.alpha), [sy.beta]))
+        for c in (c for cs in grids for c in cs):
+            same(c, Constellation(c.j, list(c.phi), list(c.alpha),
+                                  list(c.beta)))
+            assert c.to_json() == Constellation(
+                c.j, c.phi, c.alpha, c.beta).to_json()
+        # the public constructors still refuse bad phi, alpha and beta
+        bad = [lambda: StarSystem(complete(2), (1, 2), 0),
+               lambda: StarSystem(complete(2), (1,), 0),
+               lambda: StarSystem(complete(2), (1, 0), 2),
+               lambda: Constellation(complete(2), (0, 2), (1, 1), (0, 0)),
+               lambda: Constellation(complete(2), (0, -1), (1, 1), (0, 0)),
+               lambda: Constellation(complete(2), (0, 1), (1, 3), (0, 0)),
+               lambda: Constellation(complete(2), (0, 1), (1, 1), (0, 2)),
+               lambda: Constellation(complete(2), (0, 1), (1, 1), ())]
+        for make in bad:
+            with pytest.raises(ValidationError):
+                make()
 
     def test_grids_digest(self):
         # members and order of every grid below; recorded before the

@@ -19,8 +19,8 @@ PUBLIC = [
     "StarSystem", "Template", "UnionFam", "UnsupportedOperationError",
     "ValidationError", "canonical_form", "canonical_graph",
     "coloring_number", "complement", "complete", "complete_bipartite",
-    "constellation_host", "constellation_irreducible",
-    "criticality_tuples", "cycle", "disjoint_union", "edgeless",
+    "constellation_irreducible", "criticality_tuples", "cycle",
+    "disjoint_union", "edgeless",
     "enumerate_family", "enumerate_reduced", "family_contains",
     "find_induced_embedding", "find_template", "format_family",
     "generate_constellations", "graph_from_name", "graph_name",
