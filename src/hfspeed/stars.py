@@ -16,8 +16,9 @@ embedded by the induced-embedding kernel of hfspeed.graphs (_embed) and
 the rest split into crowns by its typed-part kernel (_typed_parts, set up
 by _assign_crowns); find_template is the same search with W = V(J).
 
-One-part keys (irreducible_star_systems, the l = 1 grids) are read off
-J's own canonical form coloured by alpha, not the gadget of
+One-part keys (the order of irreducible_star_systems, and so of the
+components every grid is assembled from) are read off J's own
+canonical form coloured by alpha, not the gadget of
 Constellation.canonical_key: its single anchor refines nothing and
 prefixes every leaf code alike (see _keyed_star_systems).
 
@@ -626,20 +627,21 @@ def _keyed_star_systems(s: int):
 
 
 def generate_constellations(l: int, s: int) -> list[Constellation]:
-    """All irreducible (l, s)-constellations up to equivalence.
+    """All irreducible (l, s)-constellations up to equivalence, one per
+    class, in assembly order.
 
     Assembly: a multiset of l irreducible component systems, laid out in
     consecutive fiber blocks, plus an arbitrary bigraph between every
     pair of fiber blocks.  Two cross-edge codes give equivalent
     constellations iff they lie in the same orbit of the assembly's
     automorphism group (part permutations between identical components
-    and alpha-respecting fiber automorphisms), so codes are
-    orbit-reduced before emission; distinct multisets can never collide.
-    The final canonical-key dedup is a safety net on top of that
-    argument, and its key is also the sort order of the output.  At
-    l = 1 each constellation is a component system, emitted with the key
-    _keyed_star_systems sorted it by, read off J's own coloured form;
-    every other assembly is keyed by Constellation.canonical_key.
+    and alpha-respecting fiber automorphisms), and distinct multisets
+    can never collide, so one orbit representative per code orbit is
+    exactly one constellation per class, with no key to deduplicate by.
+    Output order: the multisets in combinations_with_replacement order
+    over the component systems (sorted by _keyed_star_systems' key),
+    and within a multiset its orbit-representative codes ascending.  At
+    l = 1 that is the key order of irreducible_star_systems.
     """
     if l < 1:
         raise ValidationError("constellations need at least one part")
@@ -649,17 +651,12 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         raise CapacityError(
             f"grid l*s = {l * s} beyond the generation guard of 6")
     # never empty: both systems with an empty core are irreducible
-    keys, comps = zip(*_keyed_star_systems(s))
-    out = {}
-
-    def emit(c: Constellation, key=None):
-        out.setdefault(c.canonical_key() if key is None else key, c)
-
+    comps = [sy for _, sy in _keyed_star_systems(s)]
+    if l == 1:
+        # one system: no cross pairs
+        return [sy.as_constellation() for sy in comps]
+    out = []
     for combo in combinations_with_replacement(range(len(comps)), l):
-        if l == 1:
-            # one system: no cross pairs, and its key is already known
-            emit(comps[combo[0]].as_constellation(), keys[combo[0]])
-            continue
         systems = [comps[ix] for ix in combo]
         sizes = [sy.j.n for sy in systems]
         offs = [0] * l
@@ -694,9 +691,9 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
                 u, v = pairs[b]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            emit(Constellation._trusted(Graph.from_rows(rows), phi, alpha,
-                                        beta))
-    return [out[k] for k in sorted(out)]
+            out.append(Constellation._trusted(Graph.from_rows(rows), phi,
+                                              alpha, beta))
+    return out
 
 
 def _gadget_form(jrows, phi, alpha, beta):

@@ -372,3 +372,75 @@ def constellation_host(c, crown_sizes):
                 rows[w] |= cmask ^ (1 << w)
         base += m
     return Graph.from_rows(rows)
+
+
+def brute_constellation_class_count(l, s):
+    """Irreducible (l, s)-constellations up to equivalence, from the
+    definitions alone: list every labeled one whose parts are opened in
+    first-use order (so at most l parts, each of at most s vertices),
+    and keep the least relabelling of each.  A part with an empty fiber
+    is irreducible whatever its beta; such parts differ only in how many
+    of them have beta 1."""
+    classes = set()
+    for k in range(l * s + 1):
+        pairs = list(combinations(range(k), 2))
+        for phi in _first_use_maps(k, l, s):
+            used = max(phi, default=-1) + 1
+            for ecode, acode, bcode in product(range(1 << len(pairs)),
+                                               range(1 << k),
+                                               range(1 << used)):
+                rows = [0] * k
+                for b, (u, v) in enumerate(pairs):
+                    if ecode >> b & 1:
+                        rows[u] |= 1 << v
+                        rows[v] |= 1 << u
+                alpha = [acode >> v & 1 for v in range(k)]
+                beta = [bcode >> i & 1 for i in range(used)]
+                if any(_removable(rows, phi, alpha, beta, v)
+                       for v in range(k)):
+                    continue
+                least = _least_relabelling(rows, phi, alpha, beta)
+                for ones in range(l - used + 1):
+                    classes.add((least, ones))
+    return len(classes)
+
+
+def _first_use_maps(k, l, s):
+    """Maps of vertices 0..k-1 to parts, a part opened only after every
+    lower one, at most l parts and at most s vertices in each."""
+    if k == 0:
+        yield ()
+        return
+    for head in _first_use_maps(k - 1, l, s):
+        opened = max(head, default=-1) + 1
+        for i in range(min(opened + 1, l)):
+            if head.count(i) < s:
+                yield head + (i,)
+
+
+def _removable(rows, phi, alpha, beta, v):
+    """Core vertex v could join its part's crown: it meets the crown as
+    the crown meets itself, and each other vertex of its part meets v
+    as that vertex meets the crown."""
+    return alpha[v] == beta[phi[v]] and all(
+        (rows[u] >> v & 1) == alpha[u]
+        for u in range(len(rows)) if u != v and phi[u] == phi[v])
+
+
+def _least_relabelling(rows, phi, alpha, beta):
+    """The least (rows, parts, alpha, betas) over every order of the
+    vertices, parts renamed in order of first use."""
+    best = None
+    for order in permutations(range(len(rows))):
+        at = {v: p for p, v in enumerate(order)}
+        parts = {}
+        for v in order:
+            parts.setdefault(phi[v], len(parts))
+        code = (tuple(sum(1 << at[u] for u in range(len(rows))
+                          if rows[v] >> u & 1) for v in order),
+                tuple(parts[phi[v]] for v in order),
+                tuple(alpha[v] for v in order),
+                tuple(beta[i] for i in sorted(parts, key=parts.get)))
+        if best is None or code < best:
+            best = code
+    return best

@@ -132,17 +132,17 @@ class TestConstellations:
         assert code == 2 and "error" in err
 
     def test_stdout_bytes_pinned(self, capsys):
-        # sha256 of stdout, recorded before the l = 1 keys were shared
-        # with irreducible_star_systems; pins members and sort order
+        # sha256 of stdout; pins members and order (key order at l = 1,
+        # assembly order at l >= 2)
         want = {
             ("1", "4", "json"): "f460f5a3ec7f44cb85abc16edec3efcd"
                                 "4c6c2be01a00e354c49497aad48e2711",
             ("1", "4", "csv"): "eedcaf270cfb301d3793fc4630da4403"
                                "dce0acf51ef4099455ece1cb5e9b6693",
-            ("3", "1", "json"): "51f940778b4ebf455041370b116dd794"
-                                "da26b3094b478ee4e84a4b0300fd2425",
-            ("3", "1", "csv"): "6b7d775bea9ca6c26082808eb74978dd"
-                               "86fc46d4a7fa7fdaeaa79aff935c22ab",
+            ("3", "1", "json"): "e3b9c29dff6efb3f421e8a17072e974c"
+                                "f8a88cc4c66ecf016ccec2f6535e3fc1",
+            ("3", "1", "csv"): "6b529365571ee4ceebca6ebcbb880d40"
+                               "4f6df87f9fdb84e5ef72d63fc4d619f1",
         }
         for (l, s, fmt), digest in want.items():
             code, out, _ = run(capsys, ["constellations", "--l", l, "--s", s,

@@ -22,7 +22,7 @@ from hfspeed.stars import (
     Constellation, PJFamily, StarSystem, generate_constellations,
     is_member_PJ, is_s_star,
 )
-from hfspeed import graph6
+from hfspeed import graph6, stars
 from oracles import (
     brute_embeds_induced, naive_member, verify_partition_certificate,
 )
@@ -355,6 +355,40 @@ class TestVerifyConstellationCover:
     def test_fractions_bounded(self):
         r = verify_constellation_cover(FORB_2K2, 2, 0, 6)
         assert all(0 <= f <= 1 for f in r.extras["fractions"][1:])
+
+    def test_c5_free_one_vertex_fibers(self, monkeypatch):
+        # rows, verdicts and the selected set are the same whatever the
+        # generation order; only params.selected follows that order.  The
+        # constellations cost one gadget form per assembly with cross
+        # pairs, and no canonical key
+        forms = []
+        gadget = stars._gadget_form
+        monkeypatch.setattr(stars, "_gadget_form",
+                            lambda *a: forms.append(a) or gadget(*a))
+
+        def no_key(self):
+            raise AssertionError("canonical_key called")
+        monkeypatch.setattr(Constellation, "canonical_key", no_key)
+        r = verify_constellation_cover(FORB_C5, 2, 1, 6)
+        assert len(forms) == 3
+        assert [(row["n"], row["total"], row["covered"], row["fraction"])
+                for row in r.rows] == [
+            (1, "1", "1", "1"), (2, "2", "2", "1"), (3, "8", "8", "1"),
+            (4, "64", "64", "1"), (5, "1012", "1012", "1"),
+            (6, "30824", "30824", "1")]
+        assert r.verdicts == {"selected": 7, "trend_pair": [3, 6],
+                              "trend_up": False}
+        sel = [c.to_json() for c in r.extras["selected"]]
+        assert [json.dumps(c, sort_keys=True, separators=(",", ":"))
+                for c in r.params["selected"]] == sel
+        assert sorted(sel) == [
+            '{"alpha":[0,0],"beta":[1,1],"j":"A?","phi":[0,1]}',
+            '{"alpha":[0],"beta":[1,1],"j":"@","phi":[1]}',
+            '{"alpha":[1,1],"beta":[0,0],"j":"A_","phi":[0,1]}',
+            '{"alpha":[1],"beta":[0,0],"j":"@","phi":[1]}',
+            '{"alpha":[],"beta":[0,0],"j":"?","phi":[]}',
+            '{"alpha":[],"beta":[1,0],"j":"?","phi":[]}',
+            '{"alpha":[],"beta":[1,1],"j":"?","phi":[]}']
 
     def test_validation(self):
         with pytest.raises(UnsupportedOperationError):

@@ -25,7 +25,10 @@ from hfspeed.stars import (
     is_s_star, minimal_core, minimal_nonstar_scan,
     star_system_irreducible, verify_pj_certificate, verify_template,
 )
-from oracles import constellation_host, is_clique_mask, is_independent_mask
+from oracles import (
+    brute_constellation_class_count, constellation_host, is_clique_mask,
+    is_independent_mask,
+)
 
 K0 = Graph.from_rows([])
 
@@ -554,18 +557,54 @@ class TestGeneration:
             with pytest.raises(ValidationError):
                 make()
 
+    GRIDS = ([(1, s) for s in range(6)] + [(2, s) for s in range(3)]
+             + [(3, 1), (5, 1), (6, 1)])
+
     def test_grids_digest(self):
-        # members and order of every grid below; recorded before the
-        # l = 1 keys were shared with irreducible_star_systems
+        # members and order of every grid below: key order at l = 1,
+        # assembly order at l >= 2
         h = hashlib.sha256()
-        grids = ([(1, s) for s in range(6)] + [(2, s) for s in range(3)]
-                 + [(3, 1), (5, 1), (6, 1)])
-        for l, s in grids:
+        for l, s in self.GRIDS:
             h.update(f"{l},{s}\n".encode())
             for c in generate_constellations(l, s):
                 h.update(c.to_json().encode() + b"\n")
         assert h.hexdigest() == (
-            "15750c4f2db465eda068a4fac7a0929a9ff6b1ae2b865cf1d3727f4a1d8859b8")
+            "5fd7bb10ea2ea3d7562954641a7c18b59869f238b3269f139676161766336048")
+
+    def test_grids_classes_digest(self):
+        # the classes of every grid below, whatever the order: sorted
+        # canonical keys, pairwise distinct; recorded before the output
+        # at l >= 2 left key order
+        h = hashlib.sha256()
+        for l, s in self.GRIDS:
+            h.update(f"{l},{s}\n".encode())
+            keys = sorted(c.canonical_key()
+                          for c in generate_constellations(l, s))
+            assert len(set(keys)) == len(keys), (l, s)
+            for key in keys:
+                h.update(repr(key).encode() + b"\n")
+        assert h.hexdigest() == (
+            "97864a27d4c81febec10d9fd28ae54aa1bfe7c09fee40329483a6f50039aa323")
+
+    def test_class_counts_match_brute_force(self):
+        grids = [(l, s) for l in range(1, 5) for s in range(5) if l * s <= 4]
+        for l, s in grids:
+            assert len(generate_constellations(l, s)) == \
+                brute_constellation_class_count(l, s), (l, s)
+
+    def test_no_key_per_class(self, monkeypatch):
+        # at (5, 1) one gadget form per assembly with cross pairs (its
+        # generators reduce the codes), and no canonical key at all
+        forms = []
+        gadget = stars._gadget_form
+        monkeypatch.setattr(stars, "_gadget_form",
+                            lambda *a: forms.append(a) or gadget(*a))
+
+        def no_key(self):
+            raise AssertionError("canonical_key called")
+        monkeypatch.setattr(Constellation, "canonical_key", no_key)
+        assert len(generate_constellations(5, 1)) == 824
+        assert len(forms) == 40
 
     def test_guards(self):
         with pytest.raises(CapacityError):
