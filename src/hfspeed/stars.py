@@ -16,11 +16,11 @@ embedded by the induced-embedding kernel of hfspeed.graphs (_embed) and
 the rest split into crowns by its typed-part kernel (_typed_parts, set up
 by _assign_crowns); find_template is the same search with W = V(J).
 
-One-part keys (the order of irreducible_star_systems, and so of the
-components every grid is assembled from) are read off J's own
-canonical form coloured by alpha, not the gadget of
-Constellation.canonical_key: its single anchor refines nothing and
-prefixes every leaf code alike (see _keyed_star_systems).
+Irreducible star systems, the components every grid is assembled
+from, are sorted by (|J|, -beta, -|A1|, J's rows, alpha mask): J comes
+canonically labelled from the enumeration of ALL and alpha is the least
+mask of its Aut(J)-orbit, so that tuple already tells the classes apart
+and no canonical form is computed per (J, alpha).
 
 The crown definition quantifies over every vertex, including crown
 vertices themselves; for those the "adjacent to all" branch is read as
@@ -576,28 +576,16 @@ class PJFamily(Family):
 
 def irreducible_star_systems(s: int) -> list[StarSystem]:
     """All irreducible systems with core at most s, one per isomorphism
-    class (alpha-respecting, beta-exact), sorted by canonical key.
+    class (alpha-respecting, beta-exact), sorted by (|J|, -beta, -|A1|,
+    J's rows, alpha mask), with A1 the core vertices of alpha 1.
 
-    Each class is represented by its least alpha mask over the canonical
-    J, the first one a scan of every alpha would meet.  The keys come
-    from _keyed_star_systems, one coloured canonical form of J per (J, alpha).
-    """
-    return [sy for _, sy in _keyed_star_systems(s)]
-
-
-def _keyed_star_systems(s: int):
-    """(canonical key, system) for every irreducible system with core at
-    most s, one per class, sorted by key.
-
-    Each key is Constellation.canonical_key of the one-part system, read
-    off J's canonical form coloured by alpha's classes [A0, A1].  The
-    gadget's one anchor, joined to every core vertex and alone in the
-    first cell, adds 1 to every core degree and the top degree to every
-    neighbour list (so the invariant order in A0 and A1 is J's), splits
-    no cell, is never a target and puts one prefix, its row, on every
-    leaf code.  So the gadget's canonical rows are full(J) << 1 followed
-    by r << 1 | 1 for each canonical row r of J.  Both betas share that
-    form, computed once per (J, alpha) when some beta is irreducible.
+    Canonical augmentation already separates the classes, so no key is
+    built: J runs over ALL's members, one canonically labelled graph
+    per isomorphism class (distinct J are never isomorphic), and alpha
+    over the least mask of each Aut(J)-orbit of subsets (J's generators
+    from the same enumeration).  So (J's rows, alpha mask) is a complete
+    class invariant, and each class is represented by the first system
+    a scan of every alpha over that J would meet.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
@@ -607,23 +595,16 @@ def _keyed_star_systems(s: int):
     table = enumerate_family(ALL, s, keep_members=True)
     out = []
     for size in range(s + 1):
-        full = (1 << size) - 1
         for j, gens in zip(table.members[size], table.gens[size]):
-            # alpha up to Aut(J); distinct J are never isomorphic
             for abits in subset_orbit_reps(size, gens):
                 alpha = tuple(abits >> v & 1 for v in range(size))
-                betas = [b for b in (0, 1) if _irreducible(j.rows, alpha, b)]
-                if not betas:
-                    continue
-                cells = [m for m in (full ^ abits, abits) if m]
-                rows = (full << 1,) + tuple(
-                    r << 1 | 1 for r in canonical_form(j, cells).canon.rows)
-                a1 = abits.bit_count()
-                for b in betas:
-                    key = (size, 1, (1 - b, b, size - a1, a1), rows)
-                    out.append((key, StarSystem._trusted(j, alpha, b)))
+                for b in (1, 0):
+                    if _irreducible(j.rows, alpha, b):
+                        out.append(((size, -b, -abits.bit_count(), j.rows,
+                                     abits),
+                                    StarSystem._trusted(j, alpha, b)))
     out.sort(key=lambda ks: ks[0])
-    return out
+    return [sy for _, sy in out]
 
 
 def generate_constellations(l: int, s: int) -> list[Constellation]:
@@ -639,9 +620,10 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
     can never collide, so one orbit representative per code orbit is
     exactly one constellation per class, with no key to deduplicate by.
     Output order: the multisets in combinations_with_replacement order
-    over the component systems (sorted by _keyed_star_systems' key),
-    and within a multiset its orbit-representative codes ascending.  At
-    l = 1 that is the key order of irreducible_star_systems.
+    over the component systems, in the order of irreducible_star_systems
+    (|J|, -beta, -|A1|, J's rows, alpha mask), and within a multiset its
+    orbit-representative codes ascending.  At l = 1 that is the order
+    of irreducible_star_systems.
     """
     if l < 1:
         raise ValidationError("constellations need at least one part")
@@ -651,7 +633,7 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
         raise CapacityError(
             f"grid l*s = {l * s} beyond the generation guard of 6")
     # never empty: both systems with an empty core are irreducible
-    comps = [sy for _, sy in _keyed_star_systems(s)]
+    comps = irreducible_star_systems(s)
     if l == 1:
         # one system: no cross pairs
         return [sy.as_constellation() for sy in comps]

@@ -132,13 +132,13 @@ class TestConstellations:
         assert code == 2 and "error" in err
 
     def test_stdout_bytes_pinned(self, capsys):
-        # sha256 of stdout; pins members and order (key order at l = 1,
-        # assembly order at l >= 2)
+        # sha256 of stdout; pins members and order (star-system order at
+        # l = 1, assembly order at l >= 2)
         want = {
-            ("1", "4", "json"): "f460f5a3ec7f44cb85abc16edec3efcd"
-                                "4c6c2be01a00e354c49497aad48e2711",
-            ("1", "4", "csv"): "eedcaf270cfb301d3793fc4630da4403"
-                               "dce0acf51ef4099455ece1cb5e9b6693",
+            ("1", "4", "json"): "21a59120a52e147f39e8f823dfa28a19"
+                                "196454f257015d1a7e54a40974ff4c13",
+            ("1", "4", "csv"): "781b767ee3cbb90f5d3986011860fc1a"
+                               "60d3fdc8d71d888d2e50221ffb4fc126",
             ("3", "1", "json"): "e3b9c29dff6efb3f421e8a17072e974c"
                                 "f8a88cc4c66ecf016ccec2f6535e3fc1",
             ("3", "1", "csv"): "6b529365571ee4ceebca6ebcbb880d40"

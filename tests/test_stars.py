@@ -33,6 +33,12 @@ from oracles import (
 K0 = Graph.from_rows([])
 
 
+def system_order(sy):
+    """irreducible_star_systems' documented sort key."""
+    abits = sum(a << v for v, a in enumerate(sy.alpha))
+    return (sy.j.n, -sy.beta, -sum(sy.alpha), sy.j.rows, abits)
+
+
 def small_graphs(n_max):
     table = enumerate_family(ALL, n_max)
     return [g for n in range(n_max + 1) for g in table.members[n]]
@@ -176,9 +182,10 @@ class TestStarSystems:
         assert len(set(keys)) == 12
         assert [sy.canonical_key() for sy in irreducible_star_systems(2)] == keys
 
-    def test_irreducible_star_systems_key_only_the_classes(self, monkeypatch):
-        # the classes, representatives and order of a scan over every
-        # (J, alpha, beta) deduplicated by canonical key
+    def test_irreducible_star_systems_key_only_the_classes(self):
+        # the classes and representatives of a scan over every
+        # (J, alpha, beta) deduplicated by canonical key, in the
+        # documented order
         for s in range(5):
             table = enumerate_family(ALL, s)
             scan = {}
@@ -190,25 +197,38 @@ class TestStarSystems:
                             sy = StarSystem(j, alpha, beta)
                             if star_system_irreducible(sy):
                                 scan.setdefault(sy.canonical_key(), sy)
-            want = [scan[k] for k in sorted(scan)]
-            # one canonical form of J itself, coloured by alpha, per
-            # (J, alpha), shared by both betas; no gadget is built
-            calls = []
-            form = stars.canonical_form
-            monkeypatch.setattr(stars, "canonical_form",
-                                lambda g, cells: calls.append(g)
-                                or form(g, cells))
+            want = sorted(scan.values(), key=system_order)
             assert irreducible_star_systems(s) == want
-            pairs = {(sy.j, sy.alpha) for sy in want}
-            assert sorted(g.rows for g in calls) == sorted(
-                j.rows for j, _ in pairs)
-            monkeypatch.undo()
 
-    def test_shared_keys_are_canonical_keys(self):
-        # every (J, alpha) the one-part key path receives, up to the
-        # generation cap, against the gadget definition
-        for key, sy in stars._keyed_star_systems(6):
-            assert key == sy.canonical_key()
+    def test_order_rule_and_distinct_classes(self):
+        systems = irreducible_star_systems(6)
+        keys = [sy.canonical_key() for sy in systems]
+        assert len(set(keys)) == len(keys)
+        # both crown types may share one (J, alpha); within a type the
+        # pairs are distinct
+        assert len({(sy.j.rows, sy.alpha, sy.beta)
+                    for sy in systems}) == len(systems)
+        assert systems == sorted(systems, key=system_order)
+
+    def test_irreducible_star_systems_classes_digest(self):
+        # the classes for every s up to the guard, whatever the order:
+        # sorted canonical keys
+        h = hashlib.sha256()
+        for s in range(7):
+            h.update(f"{s}\n".encode())
+            keys = sorted(sy.canonical_key()
+                          for sy in irreducible_star_systems(s))
+            for key in keys:
+                h.update(repr(key).encode() + b"\n")
+        assert h.hexdigest() == (
+            "5d3f48fa5be769ade6528b910ce5e37754e377791244628109e2ff7c440562d2")
+
+    def test_no_canonical_form_for_one_part_systems(self, monkeypatch):
+        def no_form(*a):
+            raise AssertionError("canonical_form called")
+        monkeypatch.setattr(stars, "canonical_form", no_form)
+        assert len(irreducible_star_systems(6)) == len(
+            generate_constellations(1, 6))
 
     def test_as_constellation(self):
         c = E2J.as_constellation()
@@ -561,15 +581,15 @@ class TestGeneration:
              + [(3, 1), (5, 1), (6, 1)])
 
     def test_grids_digest(self):
-        # members and order of every grid below: key order at l = 1,
-        # assembly order at l >= 2
+        # members and order of every grid below: the order of
+        # irreducible_star_systems at l = 1, assembly order at l >= 2
         h = hashlib.sha256()
         for l, s in self.GRIDS:
             h.update(f"{l},{s}\n".encode())
             for c in generate_constellations(l, s):
                 h.update(c.to_json().encode() + b"\n")
         assert h.hexdigest() == (
-            "5fd7bb10ea2ea3d7562954641a7c18b59869f238b3269f139676161766336048")
+            "af1b1d014928dce131aaf98f59024eca8d3d88720522103df7f6b00d7023ed40")
 
     def test_grids_classes_digest(self):
         # the classes of every grid below, whatever the order: sorted
