@@ -13,14 +13,19 @@ whose new vertex is not of maximum invariant can be rejected before any
 canonical computation.  The degree part of that filter is O(1) per subset
 via precomputed degree-threshold masks.
 
-Hereditary no-goods: when the family rejects child(P, sub), its
-_rejection_support may name a witness W, a set of parent vertices on which
-the child plus its new vertex x already induces a non-member.  A later
-child(P, sub') with sub' & W == sub & W induces the same graph on W + x,
-so, the family being hereditary, it is rejected too and is skipped before
-add_vertex and membership.  No-goods live for one parent's loop.  Forb
-gives the image of the pattern it found, H(2, 0) a shortest odd cycle
-through x; every other constructor gives none and decides every child.
+Children read off the parent: forb(K3) and H(2, 0) list, from a member
+parent P alone, every neighbourhood of x that gives a member child (the
+independent sets of P; a subset of one side of each component of P), and
+only those are orbit-reduced and decided by the family's own engine.  On
+a counted level a child outside the masks of `within` is outside it.
+
+Hereditary no-goods, for the other families: when the family rejects
+child(P, sub), its _rejection_support may name a witness W, a set of
+parent vertices on which the child plus its new vertex x already induces
+a non-member.  A later child(P, sub') with sub' & W == sub & W induces the
+same graph on W + x, so, the family being hereditary, it is rejected too
+and is skipped before add_vertex and membership.  No-goods live for one
+parent's loop.  Forb gives the image of the pattern it found.
 
 A counted level (the top of a run that keeps no members and writes no
 checkpoint) reads only how many classes there are, their |Aut| and, when
@@ -132,9 +137,11 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
     on a counted level (None, inside, aut), where inside is the child's
     verdict in `within`, None without one (see the module docstring)."""
 
-    def inside(child):
+    def inside(child, sub):
         if within is not None:
-            return _membership(within, child, budget_limit).member
+            # a child outside the masks `within` reads off P is outside it
+            return ((ins is None or sub in ins)
+                    and _membership(within, child, budget_limit).member)
 
     out = []
     nb = n + 1
@@ -146,8 +153,12 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
         for v, d in enumerate(degs):
             for t in range(d + 1):
                 deg_mask[t] |= 1 << v
+        cands = family._member_children(rows)
+        if counted and within is not None:
+            ins = within._member_children(rows)
+            ins = ins if ins is None else set(ins)
         survivors = []
-        for sub in range(1 << n):
+        for sub in range(1 << n) if cands is None else sorted(cands):
             t = sub.bit_count()
             # new vertex needs the maximum degree in the child
             if t >= maxdeg and not sub & deg_mask[t]:
@@ -172,14 +183,14 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
             if inv[n] != vmax:
                 continue
             if counted and inv.count(vmax) == 1:
-                out.append((None, inside(child), aut // size))
+                out.append((None, inside(child, sub), aut // size))
                 continue
             cf = canonical_form(child)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
                 continue
             if counted:
-                out.append((None, inside(child), cf.aut_order))
+                out.append((None, inside(child, sub), cf.aut_order))
                 continue
             lab = cf.labeling
             inv_lab = [0] * nb

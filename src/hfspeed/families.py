@@ -212,6 +212,12 @@ class Family:
         outside the family, or None when the constructor names none."""
         return None
 
+    def _member_children(self, rows):
+        """Every mask s with add_vertex(P, s) in the family, for the graph P
+        with these rows ([] when P is outside it), or None when the
+        constructor does not read them off P."""
+        return None
+
     def membership(self, g: Graph, budget: Budget | None = None,
                    new_vertex_only: bool = False) -> MembershipResult:
         if budget is None:
@@ -375,6 +381,18 @@ class Forb(Family):
         # the image of the pattern found
         return mask_of(res.certificate[2]) & ~(1 << (g.n - 1))
 
+    def _member_children(self, rows):
+        # forb(K3): the independent sets of a triangle-free P, ascending
+        if self.patterns != (complete(3),):
+            return None
+        if any(rows[u] & rows[v] for u in range(len(rows))
+               for v in bits(rows[u])):
+            return []
+        out = [0]
+        for v, r in enumerate(rows):
+            out += [s | 1 << v for s in out if not s & r]
+        return out
+
 
 # ---------------------------------------------------------------------------
 # H(s, t): s independent parts plus t clique parts
@@ -426,10 +444,19 @@ class HST(Family):
             return False, None
         return True, _hst_cert(masks, s, t)
 
-    def _rejection_support(self, g, res):
+    def _member_children(self, rows):
+        # H(2, 0): per component of a bipartite P, a subset of one side
         if (self.s, self.t) != (2, 0):
             return None
-        return _odd_cycle_support(g)
+        g = Graph.from_rows(rows)
+        parts = _two_color(g)
+        if parts is None:
+            return []
+        out = [0]
+        for c in components(g):
+            a, b = (_submasks(m & c) for m in parts)
+            out = [s | o for s in out for o in a + b[1:]]
+        return out
 
 
 def _hst_cert(masks, s, t):
@@ -464,36 +491,12 @@ def _two_color(g):
     return [m0, m1]
 
 
-def _odd_cycle_support(g):
-    """The vertices other than the last one, x, of an odd closed walk
-    through x, as a mask; None when the component of x is bipartite.
-
-    BFS from x stops at the first layer holding an edge: that edge and the
-    tree paths from its ends back to x close a walk of length 2k + 1 for
-    layer k.  When g minus x is bipartite, every odd cycle passes through
-    x and none is shorter, so the walk is a shortest odd cycle.
-    """
-    rows = g.rows
-    x = g.n - 1
-    pred = {}
-    seen = frontier = 1 << x
-    while frontier:
-        nxt = 0
-        for u in bits(frontier):
-            hit = rows[u] & frontier
-            if hit:
-                w = 0
-                for v in (u, (hit & -hit).bit_length() - 1):
-                    while v != x:
-                        w |= 1 << v
-                        v = pred[v]
-                return w
-            for v in bits(rows[u] & ~seen & ~nxt):
-                pred[v] = u
-            nxt |= rows[u] & ~seen
-        seen |= nxt
-        frontier = nxt
-    return None
+def _submasks(m):
+    """Every subset of mask m, ascending."""
+    out = [0]
+    for v in bits(m):
+        out += [s | 1 << v for s in out]
+    return out
 
 
 # ---------------------------------------------------------------------------

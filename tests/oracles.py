@@ -277,14 +277,18 @@ def apply_perm_to_mask(mask, perm):
     return out
 
 
-def all_reps_child_records(family, parents, n, budget_limit, counted):
+def all_reps_child_records(family, parents, n, budget_limit, counted,
+                           within=None):
     """The augmentation step that decides the membership of every orbit
     representative: the (rows, gens, aut) records of the accepted children
     of the parent records, in the order the enumerator produces them, or
-    when counted their (None, None, aut).  It shares the degree filter,
-    the orbit reduction and the canonicity test with the enumerator, so it
-    pins the no-good skips and the counted level's |Aut| and nothing else:
-    every child it accepts has a canonical form."""
+    when counted their (None, inside, aut), inside being the verdict of
+    `within` on the child (None without one).  It shares the degree
+    filter, the orbit reduction and the canonicity test with the
+    enumerator, so it pins the no-good skips, the children read off the
+    parent (Family._member_children), the counted level's |Aut| and its
+    `within` verdicts and nothing else: every child it accepts has a
+    canonical form, and every one is decided in `within`."""
     out = []
     nb = n + 1
     for rows, gens, _ in parents:
@@ -320,7 +324,9 @@ def all_reps_child_records(family, parents, n, budget_limit, counted):
                            for p in cf.generators)
             out.append((cf.canon.rows, gens_c, cf.aut_order))
     if counted:
-        return [(None, None, aut) for _, _, aut in out]
+        return [(None, None if within is None else within.membership(
+                    Graph.from_rows(rows), Budget(budget_limit)).member, aut)
+                for rows, _, aut in out]
     return out
 
 

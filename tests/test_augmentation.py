@@ -1,10 +1,12 @@
 """The augmentation step against references that decide every child.
 
-_child_records skips a child when an earlier rejected sibling's witness
-set W of parent vertices already decides it; these tests check that the
-skips change nothing (the records equal those of a loop that decides every
-orbit representative), that every witness really is one, and that the
-members and labeled counts agree with a frozen digest and with an
+_child_records takes the children of forb(K3) and H(2, 0) from the masks
+the family reads off the parent (Family._member_children), and for Forb
+skips a child when an earlier rejected sibling's witness set W of parent
+vertices already decides it; these tests check that the masks are exact,
+that the skips change nothing (the records equal those of a loop that
+decides every orbit representative), that every witness really is one, and
+that the members and labeled counts agree with a frozen digest and with an
 independent double count.
 """
 
@@ -14,8 +16,10 @@ import random
 
 import pytest
 
+import hfspeed.enumeration as enumeration
+from hfspeed.critical import verify_kpr
 from hfspeed.enumeration import _child_records, enumerate_family
-from hfspeed.families import Forb, HST
+from hfspeed.families import AtomC, AtomM, Forb, HST, PartitionProduct
 from hfspeed.graph6 import decode
 from hfspeed.graphs import (
     Graph, add_vertex, complete, cycle, induced_subgraph, matching,
@@ -27,6 +31,7 @@ from oracles import (
 )
 from test_acceptance import SIX
 
+FORB_K3 = Forb([complete(3)])
 FORB_C5 = Forb([cycle(5)])
 FORB_K4 = Forb([complete(4)])
 FORB_C4_2K2 = Forb([cycle(4), matching(2)])
@@ -52,18 +57,20 @@ def test_child_records_equal_deciding_every_rep(fam):
                          ids=lambda f: f.text())
 def test_counted_records_equal_deciding_every_rep(fam):
     # a counted level takes |Aut| of a child whose new vertex alone has
-    # the maximum invariant from the parent's group, with no canonical form
+    # the maximum invariant from the parent's group, with no canonical form;
+    # forb(K3) tallies H(2, 0), whose masks decide its children outside it,
+    # and forb(K4) H(3, 0), which decides every child
+    within = {"forb(K3)": HST(2, 0), "forb(K4)": HST(3, 0)}.get(fam.text())
     empty = Graph(0)
     level = [(empty.rows, (), 1)] if fam.membership(empty).member else []
     for n in range(7):
-        want = all_reps_child_records(fam, level, n, None, True)
-        assert _child_records(fam, level, n, None, True) == want, n
+        want = all_reps_child_records(fam, level, n, None, True, within)
+        assert _child_records(fam, level, n, None, True, within) == want, n
         level = sorted(_child_records(fam, level, n, None, False),
                        key=lambda r: r[0])
 
 
-@pytest.mark.parametrize("fam", [Forb([complete(3)]), FORB_C5, HST(2, 0)],
-                         ids=lambda f: f.text())
+@pytest.mark.parametrize("fam", [FORB_K3, FORB_C5], ids=lambda f: f.text())
 def test_rejection_support_is_a_witness(fam):
     rng = random.Random(6)
     table = enumerate_family(fam, 7)
@@ -81,6 +88,63 @@ def test_rejection_support_is_a_witness(fam):
                 assert not naive_member(induced_subgraph(child, keep), fam)
                 checked += 1
     assert checked > 100
+
+
+@pytest.mark.parametrize("fam", [FORB_K3, HST(2, 0)], ids=lambda f: f.text())
+def test_member_children_are_exact(fam):
+    # every class to n = 7 against all 2^n masks, decided naively
+    for n in range(8):
+        for parent in _table8(fam).members[n]:
+            got = fam._member_children(parent.rows)
+            assert sorted(got) == [
+                s for s in range(1 << n)
+                if naive_member(add_vertex(parent, s), fam)], parent
+    # a parent outside the family has no child in it (C5 is in forb(K3))
+    k3 = complete(3)
+    outside = [p for p in (cycle(5), k3, add_vertex(k3, 0),
+                           add_vertex(add_vertex(k3, 0), 0))
+               if not naive_member(p, fam)]
+    assert len(outside) >= 3
+    for parent in outside:
+        assert fam._member_children(parent.rows) == [], parent
+
+
+@pytest.mark.parametrize("fam", [
+    FORB_K4, FORB_C5, FORB_C4_2K2, Forb([complete(3), cycle(5)]), HST(3, 0),
+    HST(1, 1), PartitionProduct((AtomM(), AtomC())),
+], ids=lambda f: f.text())
+def test_member_children_none_keeps_the_no_good_route(fam):
+    assert fam._member_children(cycle(5).rows) is None
+
+
+def _rejected_calls(monkeypatch):
+    """Patch the enumerator's membership calls; the returned list collects
+    (family text, order, graph rows) of every rejection."""
+    rejected = []
+    decide = enumeration._membership
+
+    def spy(family, g, *args):
+        res = decide(family, g, *args)
+        if not res.member:
+            rejected.append((family.text(), g.n, g.rows))
+        return res
+    monkeypatch.setattr(enumeration, "_membership", spy)
+    return rejected
+
+
+@pytest.mark.parametrize("fam", [FORB_K3, HST(2, 0)], ids=lambda f: f.text())
+def test_no_rejected_membership_call(fam, monkeypatch):
+    rejected = _rejected_calls(monkeypatch)
+    table = enumerate_family(fam, 8)
+    assert table.unlabeled == _table8(fam).unlabeled
+    assert rejected == []
+
+
+def test_kpr_top_level_makes_no_rejected_call(monkeypatch):
+    rejected = _rejected_calls(monkeypatch)
+    report = verify_kpr(2, 8)
+    assert report.rows[-1]["covered"] == "2922446"
+    assert rejected and not [r for r in rejected if r[1] == 8]
 
 
 # sha256 over (n, unlabeled, labeled, member rows) at every level to n = 8,
