@@ -29,7 +29,7 @@ from .canon import canonical_graph
 from .critical import (is_critical, verify_constellation_cover, verify_kpr,
                        verify_partition_fraction, verify_star_speed)
 from .dsl import parse_family
-from .enumeration import _write_atomic, enumerate_family
+from .enumeration import _csv_line, _write_atomic, enumerate_family
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .graphs import Graph
@@ -40,16 +40,6 @@ from . import graph6
 
 def _json_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_line(cells):
-    out = []
-    for c in cells:
-        c = "" if c is None else str(c)
-        if any(ch in c for ch in ",\"\n"):
-            c = '"' + c.replace('"', '""') + '"'
-        out.append(c)
-    return ",".join(out)
 
 
 def _parse_system(text):
@@ -239,18 +229,15 @@ def _encode_line(line):
         n = int(head)
     except ValueError:
         raise ValidationError(f"bad graph line {line!r}: want 'n: u-v ...'")
-    rows = [0] * n
+    edges = []
     for tok in rest.split():
         u, _, v = tok.partition("-")
         try:
-            u, v = int(u), int(v)
+            edges.append((int(u), int(v)))
         except ValueError:
             raise ValidationError(f"bad edge token {tok!r}")
-        if not (0 <= u < n and 0 <= v < n and u != v):
-            raise ValidationError(f"edge {tok!r} out of range for n={n}")
-        rows[u] |= 1 << v
-        rows[v] |= 1 << u
-    return graph6.encode(Graph.from_rows(rows))
+    # Graph refuses an order outside 0..64, an edge out of range and a loop
+    return graph6.encode(Graph(n, edges))
 
 
 def _run_graph6(args):

@@ -28,13 +28,11 @@ runs, thread counts, and machines.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import time
 from fractions import Fraction
 
-from .enumeration import enumerate_family
+from .enumeration import _csv_line, enumerate_family
 from .errors import UnsupportedOperationError, ValidationError
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
                        Forb, HST, M, PartitionProduct, S)
@@ -219,24 +217,12 @@ class ExperimentReport:
         if not self.rows:
             return "\n"
         header = list(self.rows[0])
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(header)
-        for r in self.rows:
-            w.writerow([_csv_cell(r.get(k)) for k in header])
-        return buf.getvalue()
+        rows = [header] + [[r.get(k) for k in header] for r in self.rows]
+        return "".join(_csv_line(r) + "\n" for r in rows)
 
     def __repr__(self):
         return (f"ExperimentReport({self.experiment!r}, "
                 f"rows={len(self.rows)}, verdicts={self.verdicts})")
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def _trend_verdicts(fracs, n_max):

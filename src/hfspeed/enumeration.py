@@ -17,7 +17,8 @@ Children read off the parent: forb(K3) and H(2, 0) list, from a member
 parent P alone, every neighbourhood of x that gives a member child (the
 independent sets of P; a subset of one side of each component of P), and
 only those are orbit-reduced and decided by the family's own engine.  On
-a counted level a child outside the masks of `within` is outside it.
+a counted level a child is in `within` iff its mask is among those that
+`within` lists, with no membership call.
 
 Hereditary no-goods, for the other families: when the family rejects
 child(P, sub), its _rejection_support may name a witness W, a set of
@@ -34,8 +35,12 @@ child there whose new vertex x alone has the maximum invariant needs no
 canonical form: x is the canonical deletion vertex, Aut fixes it, and
 |Aut(child)| is |Aut(parent)| over the orbit size of x's neighbourhood.
 Its `within` test runs where the child is found, on the child's own
-labels (in the pool workers when there are any); a level below the top
-tests its records in sorted order on their canonical graphs.
+labels; a level below the top tests its records on their canonical graphs.
+
+A level is one map of _child_records over chunks of the level below, the
+family, `within` and the budget passed with each: one chunk in process,
+about 4 x threads chunks on a process pool when the level below has more
+than one member.  Records are merged sorted.
 
 Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
 from the family's own membership engine, so enumeration and the direct
@@ -51,7 +56,7 @@ import math
 import os
 import pickle
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 
 from .canon import canonical_form, subset_orbits, vertex_invariant, vertex_orbit
 from .errors import (CapacityError, ResourceLimitError,
@@ -64,6 +69,18 @@ ENUM_MAX_N = 16
 # part of every checkpoint header: bump it when the level records change
 # shape, and files of another version fail the check and are recomputed
 FORMAT_VERSION = 1
+
+
+def _csv_line(cells):
+    """One CSV line: None as an empty cell, a cell holding a comma, a quote
+    or a newline quoted with its quotes doubled."""
+    out = []
+    for c in cells:
+        c = "" if c is None else str(c)
+        if any(ch in c for ch in ",\"\n"):
+            c = '"' + c.replace('"', '""') + '"'
+        out.append(c)
+    return ",".join(out)
 
 
 class SpeedTable:
@@ -95,12 +112,10 @@ class SpeedTable:
                        for c in self.labeled]
 
     def to_csv(self) -> str:
-        lines = ["n,unlabeled,labeled,h_bits"]
-        for n in range(self.n_max + 1):
-            h = self.h_bits[n]
-            htxt = f"{h:.12f}" if h != float("-inf") else "-inf"
-            lines.append(f"{n},{self.unlabeled[n]},{self.labeled[n]},{htxt}")
-        return "\n".join(lines) + "\n"
+        rows = [["n", "unlabeled", "labeled", "h_bits"]] + [
+            [n, self.unlabeled[n], self.labeled[n], f"{self.h_bits[n]:.12f}"]
+            for n in range(self.n_max + 1)]
+        return "".join(_csv_line(r) + "\n" for r in rows)
 
     def to_json_obj(self):
         return {
@@ -139,9 +154,10 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
 
     def inside(child, sub):
         if within is not None:
-            # a child outside the masks `within` reads off P is outside it
-            return ((ins is None or sub in ins)
-                    and _membership(within, child, budget_limit).member)
+            # the masks `within` reads off P list its member children exactly
+            if ins is not None:
+                return sub in ins
+            return _membership(within, child, budget_limit).member
 
     out = []
     nb = n + 1
@@ -243,41 +259,23 @@ def _read_level(path, header):
     return None
 
 
-_WORKER = None
-
-
-def _init_worker(blob, budget_limit):
-    global _WORKER
-    _WORKER = (*pickle.loads(blob), budget_limit)
-
-
-def _worker_chunk(args):
-    parents, n, counted = args
-    family, within, budget_limit = _WORKER
-    return _child_records(family, parents, n, budget_limit, counted, within)
-
-
 def _level_records(f, n, below, budget_limit, pool, threads, counted, within):
     """The records of level n, sorted by rows unless counted, computed
-    from the records of level n - 1 (none for n = 0)."""
+    from the records of level n - 1 (none for n = 0), in chunks as the
+    module docstring says."""
     if n == 0:
         empty = Graph(0)
         member0 = _membership(f, empty, budget_limit).member
         return [(empty.rows, (), 1)] if member0 else []
+    run, chunks = map, [below]
     if pool is not None and len(below) > 1:
-        from concurrent.futures.process import BrokenProcessPool
-        chunk = max(1, len(below) // (threads * 4))
-        tasks = [(below[i:i + chunk], n - 1, counted)
-                 for i in range(0, len(below), chunk)]
-        recs = []
-        try:
-            for part in pool.map(_worker_chunk, tasks):
-                recs.extend(part)
-        except BrokenProcessPool as e:
-            raise ResourceLimitError(f"{f.text()} at level {n}: a worker "
-                                     f"process died") from e
-    else:
-        recs = _child_records(f, below, n - 1, budget_limit, counted, within)
+        step = max(1, len(below) // (threads * 4))
+        run = pool.map
+        chunks = [below[i:i + step] for i in range(0, len(below), step)]
+    recs = [r for part in run(_child_records, repeat(f), chunks, repeat(n - 1),
+                              repeat(budget_limit), repeat(counted),
+                              repeat(within))
+            for r in part]
     if not counted:
         recs.sort(key=lambda r: r[0])
     return recs
@@ -290,9 +288,11 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     """Exhaustive unlabeled enumeration of f up to n_max vertices.
 
     Refuses families that are not hereditary by construction (the
-    augmentation scheme would silently undercount).  threads > 1 fans the
-    parent set out to a process pool; results are merged by sorted
-    canonical encoding, so any worker count produces identical output.
+    augmentation scheme would silently undercount).  threads > 1 maps
+    _child_records over about 4 x threads chunks of each level's parents
+    on a process pool (a level of one parent stays in process); records
+    are merged by sorted canonical encoding, so any worker count produces
+    identical output.
     Checkpoints, when enabled, hold one file per level, named by a hash of
     the format version and the structural family key: a pickle of the
     header (that pair's repr, n) and the level's records, then its sha256.
@@ -305,7 +305,8 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     their |Aut| read off the parent's group, for the same counts.
     A `within` family is tallied alongside: within_labeled[n] counts the
     members on [n] that lie in it, each class tested once on a fresh
-    budget (a counted top level tests its children on their own labels).
+    budget (a counted top level tests its children on their own labels,
+    or reads them off the masks `within` lists, as H(2, 0) does).
     An exhausted membership budget raises ResourceLimitError naming the
     family (f or within), the level and the graph being decided; so does
     a pool worker that dies, naming f and the level.
@@ -324,13 +325,12 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
         ident = repr((FORMAT_VERSION, f.key()))
         stem = hashlib.sha256(ident.encode()).hexdigest()[:16]
 
-    pool = None
+    pool, broken = None, ()
     if threads > 1:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(
-            threads, mp.get_context("fork"), initializer=_init_worker,
-            initargs=(pickle.dumps((f, within)), budget_limit))
+        from concurrent.futures.process import BrokenProcessPool as broken
+        pool = ProcessPoolExecutor(threads, mp.get_context("fork"))
 
     unlabeled, labeled = [], []
     members = [] if keep_members else None
@@ -368,6 +368,9 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
                 auts.append([aut for _, _, aut in recs])
                 gens.append([g for _, g, _ in recs])
+    except broken as e:
+        raise ResourceLimitError(f"{f.text()} at level {n}: a worker "
+                                 f"process died") from e
     finally:
         if pool is not None:
             # nothing is pending after a whole run; after an error the

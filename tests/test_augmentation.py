@@ -147,6 +147,22 @@ def test_kpr_top_level_makes_no_rejected_call(monkeypatch):
     assert rejected and not [r for r in rejected if r[1] == 8]
 
 
+def test_kpr_tally_reads_the_within_masks(monkeypatch):
+    # H(2, 0) lists its member children exactly, so the counted top level
+    # of the tally decides no child of order 8 by a call
+    calls = []
+    decide = enumeration._membership
+
+    def spy(family, g, *args):
+        if family.text() == "H(2, 0)" and g.n == 8:
+            calls.append(g.rows)
+        return decide(family, g, *args)
+    monkeypatch.setattr(enumeration, "_membership", spy)
+    report = verify_kpr(2, 8)
+    assert report.rows[-1]["covered"] == "2922446"
+    assert calls == []
+
+
 # sha256 over (n, unlabeled, labeled, member rows) at every level to n = 8,
 # recorded before children were skipped by witnesses
 MEMBERS_DIGEST = {

@@ -229,6 +229,15 @@ class TestGraph6Pipeline:
         code, _, err = run(capsys, ["graph6", "encode", "2: 0-5"])
         assert code == 2 and "out of range" in err
 
+    @pytest.mark.parametrize("line, word", [
+        ("-1:", "outside 0..64"), ("65: 0-64", "outside 0..64"),
+        ("3: 0-0", "loop")])
+    def test_encode_refuses_what_decode_would(self, capsys, monkeypatch,
+                                              line, word):
+        code, out, err = run_stdin(capsys, monkeypatch, ["graph6", "encode"],
+                                   line + "\n")
+        assert code == 2 and out == "" and word in err
+
 
 class TestArtifacts:
     def test_content_addressed(self, capsys, tmp_path):
