@@ -29,7 +29,7 @@ from .canon import canonical_graph
 from .critical import (is_critical, verify_constellation_cover, verify_kpr,
                        verify_partition_fraction, verify_star_speed)
 from .dsl import parse_family
-from .enumeration import _csv_line, _write_atomic, enumerate_family
+from .enumeration import _csv_table, _write_atomic, enumerate_family
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .graphs import Graph
@@ -86,9 +86,8 @@ def _run_chi_c(args):
     config = {"family": args.family}
     if args.format == "csv":
         chi = "infinity" if res.l == float("inf") else res.l
-        lines = [_csv_line(["chi_c", "witness_s"]),
-                 _csv_line([chi, res.witness_s])]
-        return "\n".join(lines) + "\n", "csv", config
+        rows = [["chi_c", "witness_s"], [chi, res.witness_s]]
+        return _csv_table(rows), "csv", config
     return _json_text(res.to_json_obj()), "json", config
 
 
@@ -108,12 +107,10 @@ def _run_classify(args):
     config = {"family": args.family, "l": l,
               "graphs": [r["graph"] for r in rows]}
     if args.format == "csv":
-        lines = [_csv_line(["graph", "reduced", "dangerous", "witness_s"])]
-        for r in rows:
-            lines.append(_csv_line([
-                r["graph"], str(r["reduced"]).lower(),
-                str(r["dangerous"]).lower(), r["witness_s"]]))
-        return "\n".join(lines) + "\n", "csv", config
+        lines = [["graph", "reduced", "dangerous", "witness_s"]] + [
+            [r["graph"], str(r["reduced"]).lower(),
+             str(r["dangerous"]).lower(), r["witness_s"]] for r in rows]
+        return _csv_table(lines), "csv", config
     return _json_text({"family": args.family, "l": l, "rows": rows}), \
         "json", config
 
@@ -129,11 +126,10 @@ def _run_stars(args):
         by_order = {}
         for w in report.witnesses:
             by_order.setdefault(graph6.decode(w).n, []).append(w)
-        lines = [_csv_line(["n", "scanned", "witnesses"])]
-        for n, count in report.scanned:
-            lines.append(_csv_line(
-                [n, count, ";".join(by_order.get(n, []))]))
-        return "\n".join(lines) + "\n", "csv", config
+        rows = [["n", "scanned", "witnesses"]] + [
+            [n, count, ";".join(by_order.get(n, []))]
+            for n, count in report.scanned]
+        return _csv_table(rows), "csv", config
     return _json_text(report.to_json_obj()), "json", config
 
 
@@ -141,14 +137,11 @@ def _run_constellations(args):
     cons = generate_constellations(args.l, args.s)
     config = {"l": args.l, "s": args.s}
     if args.format == "csv":
-        lines = [_csv_line(["j", "phi", "alpha", "beta"])]
-        for c in cons:
-            lines.append(_csv_line([
-                graph6.encode(c.j),
-                "".join(map(str, c.phi)),
-                "".join(map(str, c.alpha)),
-                "".join(map(str, c.beta))]))
-        return "\n".join(lines) + "\n", "csv", config
+        rows = [["j", "phi", "alpha", "beta"]] + [
+            [graph6.encode(c.j)]
+            + ["".join(map(str, x)) for x in (c.phi, c.alpha, c.beta)]
+            for c in cons]
+        return _csv_table(rows), "csv", config
     obj = {"l": args.l, "s": args.s, "count": len(cons),
            "constellations": [c.to_json_obj() for c in cons]}
     return _json_text(obj), "json", config
@@ -161,10 +154,10 @@ def _run_critical(args):
     if args.format == "csv":
         witness = ";".join(f.text() for f in verdict.witness) \
             if verdict.witness else ""
-        lines = [_csv_line(["critical", "l", "s", "n_check", "witness"]),
-                 _csv_line([str(verdict.critical).lower(), verdict.l,
-                            verdict.s, verdict.n_check, witness])]
-        return "\n".join(lines) + "\n", "csv", config
+        rows = [["critical", "l", "s", "n_check", "witness"],
+                [str(verdict.critical).lower(), verdict.l, verdict.s,
+                 verdict.n_check, witness]]
+        return _csv_table(rows), "csv", config
     return _json_text(verdict.to_json_obj()), "json", config
 
 

@@ -32,13 +32,14 @@ import math
 import time
 from fractions import Fraction
 
-from .enumeration import _csv_line, enumerate_family
+from .enumeration import _csv_table, enumerate_family
 from .errors import UnsupportedOperationError, ValidationError
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
-                       Forb, HST, M, PartitionProduct, S)
+                       Forb, HST, M, PartitionProduct, S, _first_member,
+                       _membership, family_contains)
 from .graphs import bits, complete
 from .stars import (PJFamily, _as_constellation, constellation_irreducible,
-                    generate_constellations, is_member_PJ, is_s_star)
+                    generate_constellations, is_s_star)
 from .structure import coloring_number, enumerate_reduced, is_balanced
 from . import graph6
 
@@ -147,18 +148,16 @@ def is_critical(f, *, n_check: int = 8, budget_limit: int | None = None,
             "one-vertex graph")
     refutations = []
     for fams in criticality_tuples(l):
-        prod = PartitionProduct(fams)
-        hit = None
-        for k in f.patterns:
-            mres = prod.membership(k, Budget(budget_limit))
-            if mres.member:
-                hit = (k, mres.certificate)
-                break
+        # the finite rule of the module docstring; an apex seed keeps the
+        # product out of family_contains, which asks for heredity by
+        # construction
+        hit = _first_member(PartitionProduct(fams),
+                            ((k, k) for k in f.patterns), budget_limit)
         if hit is None:
             # every pattern avoids the product, so the product sits
             # inside f and f is not critical
             return CriticalityVerdict(False, l, None, fams, None, n_check)
-        refutations.append((fams, hit[0], hit[1]))
+        refutations.append((fams, hit[0], hit[1].certificate))
     s = _s_at_horizon(f, l, n_check, budget_limit, threads)
     return CriticalityVerdict(True, l, s, None, refutations, n_check)
 
@@ -218,7 +217,7 @@ class ExperimentReport:
             return "\n"
         header = list(self.rows[0])
         rows = [header] + [[r.get(k) for k in header] for r in self.rows]
-        return "".join(_csv_line(r) + "\n" for r in rows)
+        return _csv_table(rows)
 
     def __repr__(self):
         return (f"ExperimentReport({self.experiment!r}, "
@@ -358,9 +357,10 @@ def verify_constellation_cover(f, l: int, s: int, n_max: int, *,
     """Coverage of f^n (labeled) by the P(J) of every generated
     constellation at (l, s) whose family fits inside f.
 
-    Selection uses the finite rule (P(J) is hereditary): J is kept iff
-    no forbidden pattern of f is a member of P(J).  Coverage of a graph
-    means membership in at least one selected P(J).
+    Selection is family_contains(P(J), f), the finite rule (P(J) is
+    hereditary): J is kept iff no forbidden pattern of f is a member of
+    P(J).  Coverage of a graph means membership in at least one selected
+    P(J).
     """
     if not isinstance(f, Forb):
         raise UnsupportedOperationError(
@@ -368,11 +368,9 @@ def verify_constellation_cover(f, l: int, s: int, n_max: int, *,
     if not 1 <= n_max <= 10:
         raise ValidationError("n_max must lie in [1, 10]")
     start = time.perf_counter()
-    selected = []
-    for c in generate_constellations(l, s):
-        if all(not is_member_PJ(k, c, budget_limit).member
-               for k in f.patterns):
-            selected.append(c)
+    covers = [pj for pj in map(PJFamily, generate_constellations(l, s))
+              if family_contains(pj, f, budget_limit)[0]]
+    selected = [pj.constellation for pj in covers]
     table = enumerate_family(f, n_max, budget_limit=budget_limit,
                              threads=threads, keep_members=True)
     fracs = [None] * (n_max + 1)
@@ -382,8 +380,7 @@ def verify_constellation_cover(f, l: int, s: int, n_max: int, *,
         covered = 0
         fact = math.factorial(n)
         for g, aut in zip(table.members[n], table.auts[n]):
-            if any(is_member_PJ(g, c, budget_limit).member
-                   for c in selected):
+            if any(_membership(pj, g, budget_limit).member for pj in covers):
                 covered += fact // aut
         fracs[n] = Fraction(covered, total)
         rows.append({"n": n, "total": str(total), "covered": str(covered),

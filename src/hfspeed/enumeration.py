@@ -39,8 +39,8 @@ labels; a level below the top tests its records on their canonical graphs.
 
 A level is one map of _child_records over chunks of the level below, the
 family, `within` and the budget passed with each: one chunk in process,
-about 4 x threads chunks on a process pool when the level below has more
-than one member.  Records are merged sorted.
+about 4 x workers chunks on a pool of min(threads, CPUs) processes when
+the level below has more than one member.  Records are merged sorted.
 
 Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
 from the family's own membership engine, so enumeration and the direct
@@ -61,9 +61,8 @@ from itertools import combinations, repeat
 from .canon import canonical_form, subset_orbits, vertex_invariant, vertex_orbit
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
-from .families import Budget, Family
+from .families import Family, _membership
 from .graphs import Graph, add_vertex
-from . import graph6
 
 ENUM_MAX_N = 16
 # part of every checkpoint header: bump it when the level records change
@@ -81,6 +80,11 @@ def _csv_line(cells):
             c = '"' + c.replace('"', '""') + '"'
         out.append(c)
     return ",".join(out)
+
+
+def _csv_table(rows):
+    """The CSV lines of rows, each ended by a newline."""
+    return "".join(_csv_line(r) + "\n" for r in rows)
 
 
 class SpeedTable:
@@ -115,7 +119,7 @@ class SpeedTable:
         rows = [["n", "unlabeled", "labeled", "h_bits"]] + [
             [n, self.unlabeled[n], self.labeled[n], f"{self.h_bits[n]:.12f}"]
             for n in range(self.n_max + 1)]
-        return "".join(_csv_line(r) + "\n" for r in rows)
+        return _csv_table(rows)
 
     def to_json_obj(self):
         return {
@@ -132,17 +136,6 @@ class SpeedTable:
     def __repr__(self):
         return (f"SpeedTable({self.family_text!r}, n_max={self.n_max}, "
                 f"unlabeled={self.unlabeled})")
-
-
-def _membership(family, g, budget_limit, new_vertex_only=False):
-    """family's verdict on g under a fresh budget; an exhausted budget
-    raises ResourceLimitError naming the family, the level (g's order)
-    and g."""
-    try:
-        return family.membership(g, Budget(budget_limit), new_vertex_only)
-    except ResourceLimitError as e:
-        raise ResourceLimitError(f"{family.text()} at level {g.n}, graph "
-                                 f"{graph6.encode(g)}: {e}") from e
 
 
 # one class per level entry: canonical rows, Aut generators (canonical
@@ -259,7 +252,7 @@ def _read_level(path, header):
     return None
 
 
-def _level_records(f, n, below, budget_limit, pool, threads, counted, within):
+def _level_records(f, n, below, budget_limit, pool, workers, counted, within):
     """The records of level n, sorted by rows unless counted, computed
     from the records of level n - 1 (none for n = 0), in chunks as the
     module docstring says."""
@@ -269,7 +262,7 @@ def _level_records(f, n, below, budget_limit, pool, threads, counted, within):
         return [(empty.rows, (), 1)] if member0 else []
     run, chunks = map, [below]
     if pool is not None and len(below) > 1:
-        step = max(1, len(below) // (threads * 4))
+        step = max(1, len(below) // (workers * 4))
         run = pool.map
         chunks = [below[i:i + step] for i in range(0, len(below), step)]
     recs = [r for part in run(_child_records, repeat(f), chunks, repeat(n - 1),
@@ -289,10 +282,10 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
 
     Refuses families that are not hereditary by construction (the
     augmentation scheme would silently undercount).  threads > 1 maps
-    _child_records over about 4 x threads chunks of each level's parents
-    on a process pool (a level of one parent stays in process); records
-    are merged by sorted canonical encoding, so any worker count produces
-    identical output.
+    _child_records over about 4 x workers chunks of each level's parents
+    on a pool of min(threads, os.cpu_count()) worker processes (a level
+    of one parent stays in process); records are merged by sorted
+    canonical encoding, so any worker count produces identical output.
     Checkpoints, when enabled, hold one file per level, named by a hash of
     the format version and the structural family key: a pickle of the
     header (that pair's repr, n) and the level's records, then its sha256.
@@ -325,12 +318,15 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
         ident = repr((FORMAT_VERSION, f.key()))
         stem = hashlib.sha256(ident.encode()).hexdigest()[:16]
 
+    # fork starts every worker at the first submit, so never more than
+    # the CPUs; a pool still runs at threads > 1 on one CPU
+    workers = min(threads, os.cpu_count() or 1)
     pool, broken = None, ()
     if threads > 1:
         import multiprocessing as mp
         from concurrent.futures import ProcessPoolExecutor
         from concurrent.futures.process import BrokenProcessPool as broken
-        pool = ProcessPoolExecutor(threads, mp.get_context("fork"))
+        pool = ProcessPoolExecutor(workers, mp.get_context("fork"))
 
     unlabeled, labeled = [], []
     members = [] if keep_members else None
@@ -349,7 +345,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                 recs = _read_level(path, (ident, n))
             if recs is None:
                 recs = _level_records(f, n, recs_below, budget_limit, pool,
-                                      threads, counted, within)
+                                      workers, counted, within)
                 if checkpoint_dir:
                     out = io.BytesIO()
                     pickle.dump(((ident, n), recs), out)
@@ -401,8 +397,7 @@ def labeled_count_direct(f: Family, n: int, budget_limit: int | None = None) -> 
             if code >> k & 1:
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-        g = Graph.from_rows(rows)
-        if f.membership(g, Budget(budget_limit)).member:
+        if _membership(f, Graph.from_rows(rows), budget_limit).member:
             total += 1
     return total
 

@@ -72,6 +72,27 @@ class Budget:
                 f"membership search exceeded node budget {self.limit}")
 
 
+def _membership(family, g, budget_limit, new_vertex_only=False):
+    """family's verdict on g under a fresh budget; an exhausted budget
+    raises ResourceLimitError naming the family, the level (g's order)
+    and g."""
+    try:
+        return family.membership(g, Budget(budget_limit), new_vertex_only)
+    except ResourceLimitError as e:
+        raise ResourceLimitError(f"{family.text()} at level {g.n}, graph "
+                                 f"{graph6.encode(g)}: {e}") from e
+
+
+def _first_member(f, graphs, budget_limit):
+    """(label, result) for the first (label, graph) pair whose graph f
+    accepts, each decided by _membership, or None when f accepts none."""
+    for label, g in graphs:
+        res = _membership(f, g, budget_limit)
+        if res.member:
+            return label, res
+    return None
+
+
 class MembershipResult:
     """Exact verdict plus evidence.
 
@@ -729,12 +750,14 @@ class IntersectionFam(Family):
 # ---------------------------------------------------------------------------
 # containment in a finitely generated family
 
-def family_contains(f_sub: Family, f_super: Family, budget: Budget | None = None):
+def family_contains(f_sub: Family, f_super: Family,
+                    budget_limit: int | None = None):
     """Decide f_sub subseteq f_super for f_super = forb(K_1..K_m).
 
     Sound because f_sub is hereditary: if any member of f_sub contains some
-    K_i induced then K_i itself is a member of f_sub.  Returns (True, None)
-    or (False, (pattern_graph, membership_result)).
+    K_i induced then K_i itself is a member of f_sub.  Each K_i is decided
+    on a fresh budget of budget_limit nodes, in pattern order.  Returns
+    (True, None) or (False, (pattern_graph, membership_result)).
     """
     if not isinstance(f_super, Forb):
         raise UnsupportedOperationError(
@@ -742,11 +765,9 @@ def family_contains(f_sub: Family, f_super: Family, budget: Budget | None = None
     if not f_sub.hereditary:
         raise UnsupportedOperationError(
             "containment source must be hereditary by construction")
-    for k in f_super.patterns:
-        res = f_sub.membership(k, budget)
-        if res.member:
-            return False, (k, res)
-    return True, None
+    hit = _first_member(f_sub, ((k, k) for k in f_super.patterns),
+                        budget_limit)
+    return (True, None) if hit is None else (False, hit)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from .canon import vertex_orbit
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import (
     AtomAll,
-    Budget,
     C,
     Family,
     Forb,
@@ -31,6 +30,8 @@ from .families import (
     S,
     _FAMILY,
     _POS,
+    _first_member,
+    _membership,
 )
 from .graphs import (
     Graph, add_vertex, complement, delete_vertex, disjoint_union, edgeless,
@@ -94,14 +95,11 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
         # (s, pattern_index, certificate) per s refuting it
         refutations = []
         for s in range(l + 1):
-            h = HST(s, l - s)
-            for idx, k in enumerate(f.patterns):
-                res = h.membership(k, Budget(budget_limit))
-                if res.member:
-                    refutations.append((s, idx, res.certificate))
-                    break
-            else:
+            hit = _first_member(HST(s, l - s), enumerate(f.patterns),
+                                budget_limit)
+            if hit is None:
                 return s
+            refutations.append((s, hit[0], hit[1].certificate))
         return refutations
 
     l, witness_s = 0, scan(0)
@@ -164,16 +162,11 @@ def is_reduced(h: Graph, f: Family, l: int,
         raise ValidationError("is_reduced needs l >= 1")
     violations = []
     for s in range(l):
-        prod = reduced_product(h, s, l - 1)
-        hit = None
-        for idx, k in enumerate(f.patterns):
-            res = prod.membership(k, Budget(budget_limit))
-            if res.member:
-                hit = (s, idx, res.certificate)
-                break
+        hit = _first_member(reduced_product(h, s, l - 1),
+                            enumerate(f.patterns), budget_limit)
         if hit is None:
             return ReducedClassification(h, True, s, ())
-        violations.append(hit)
+        violations.append((s, hit[0], hit[1].certificate))
     return ReducedClassification(h, False, None, violations)
 
 
@@ -273,19 +266,14 @@ def is_apex_free(f: Family, l: int,
             f"is_apex_free needs forbidden-pattern form, got {f.text()}")
     witnesses = []
     for s in range(l + 1):
-        h = HST(s, l - s)
-        hit = None
-        for idx, k in enumerate(f.patterns):
-            for u in range(k.n):
-                res = h.membership(delete_vertex(k, u), Budget(budget_limit))
-                if res.member:
-                    hit = (s, idx, u, res.certificate)
-                    break
-            if hit:
-                break
+        hit = _first_member(HST(s, l - s),
+                            (((idx, u), delete_vertex(k, u))
+                             for idx, k in enumerate(f.patterns)
+                             for u in range(k.n)), budget_limit)
         if hit is None:
             return ApexFreeResult(False, witnesses, s)
-        witnesses.append(hit)
+        (idx, u), res = hit
+        witnesses.append((s, idx, u, res.certificate))
     return ApexFreeResult(True, witnesses, None)
 
 
@@ -327,11 +315,11 @@ def is_meager(f: Family, cap: int = 8,
     for total in range(cap + 1):
         for j in range(total + 1):
             g = substar(j, total - j)
-            if sub_w is None and not f.contains(g, Budget(budget_limit)):
+            if sub_w is None and not _membership(f, g, budget_limit).member:
                 sub_w = g
             if anti_w is None:
                 cg = complement(g)
-                if not f.contains(cg, Budget(budget_limit)):
+                if not _membership(f, cg, budget_limit).member:
                     anti_w = cg
             if sub_w is not None and anti_w is not None:
                 return MeagerResult(True, cap, sub_w, anti_w)
@@ -370,7 +358,7 @@ def is_extendable_upto(f: Family, n_check: int,
     table = enumerate_family(f, n_check - 1, budget_limit=budget_limit)
     for n in range(n_check):
         for g in table.members[n]:
-            if not any(f.contains(add_vertex(g, sub), Budget(budget_limit))
+            if not any(_membership(f, add_vertex(g, sub), budget_limit).member
                        for sub in range(1 << g.n)):
                 return ExtendableResult(False, g, n_check)
     return ExtendableResult(True, None, n_check)

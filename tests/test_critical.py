@@ -55,6 +55,13 @@ class TestIsCritical:
         assert [f.text() for f in v.witness] == ["M", "C"]
         assert v.refutations is None
 
+    def test_budget_error_names_product_level_and_graph(self):
+        # budget 8 lasts through chi_c but not through P(M, C) on C5
+        with pytest.raises(ResourceLimitError) as info:
+            is_critical(FORB_C5, budget_limit=8)
+        assert str(info.value) == ("P(M, C) at level 5, graph Dhc: "
+                                   "membership search exceeded node budget 8")
+
     def test_witness_soundness(self):
         # the witness product really is contained in the family, by the
         # library rule and by brute force on every member up to 6
@@ -336,6 +343,11 @@ class TestVerifyConstellationCover:
         for c in generate_constellations(2, 0):
             fits = not is_member_PJ(complete(3), c).member
             assert (c.canonical_key() in selected) is fits
+
+    def test_selection_budget_error_names_pj_level_and_graph(self):
+        with pytest.raises(ResourceLimitError) as info:
+            verify_constellation_cover(FORB_K3, 2, 0, 6, budget_limit=1)
+        assert str(info.value).startswith("pj(?;;;11) at level 3, graph Bw: ")
 
     def test_pair_of_edges(self):
         r = verify_constellation_cover(FORB_2K2, 2, 0, 7)

@@ -309,6 +309,30 @@ class TestPool:
         assert proc.returncode == 0, err
         assert out == "forb(K3) at level 5: a worker process died\n"
 
+    def test_workers_capped_at_the_cpus(self, monkeypatch):
+        # a recording pool that maps in process, so nothing is forked
+        import concurrent.futures
+
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers, mp_context):
+                made.append(max_workers)
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                            Recorder)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        fam = Forb([complete(3)])
+        t = enumerate_family(fam, 5, threads=10**6)
+        assert made == [2]
+        assert t.to_csv() == enumerate_family(fam, 5, threads=1).to_csv()
+
 
 class _MakesMarker:
     """Unpickling one calls os.mkdir(path)."""

@@ -245,6 +245,13 @@ class TestFamilyContains:
         k, res = witness
         assert k == complete(3) and res.member
 
+    def test_budget_error_names_family_level_and_graph(self):
+        with pytest.raises(ResourceLimitError) as info:
+            family_contains(PartitionProduct((M, C)), Forb([cycle(5)]),
+                            budget_limit=1)
+        assert str(info.value) == ("P(M, C) at level 5, graph Dhc: "
+                                   "membership search exceeded node budget 1")
+
     def test_rejects_non_forb_target(self):
         with pytest.raises(UnsupportedOperationError):
             family_contains(S, HST(2, 0))

@@ -89,6 +89,13 @@ class TestColoringNumber:
         with pytest.raises(ResourceLimitError):
             coloring_number(Forb([complete(4)]), budget_limit=1)
 
+    def test_budget_error_names_family_level_and_graph(self):
+        with pytest.raises(ResourceLimitError) as info:
+            coloring_number(Forb([complete(4)]), budget_limit=1)
+        assert str(info.value) == ("H(0, 2) at level 4, graph C~: membership "
+                                   "search exceeded node budget 1")
+        assert info.value.__cause__ is not None
+
 
 class TestIsReduced:
     def test_contract_examples(self):
@@ -132,6 +139,12 @@ class TestIsReduced:
                         for k in fam.patterns)
                     for s in range(l))
                 assert is_reduced(h, fam, l).reduced == expected
+
+    def test_budget_error_names_family_level_and_graph(self):
+        with pytest.raises(ResourceLimitError) as info:
+            is_reduced(cycle(5), Forb([cycle(5)]), 2, budget_limit=3)
+        assert str(info.value).startswith(
+            "P(iota(C5), C) at level 5, graph Dhc: ")
 
     def test_nonmember_is_dangerous(self):
         assert not is_reduced(complete(3), Forb([complete(3)]), 2).reduced

@@ -53,3 +53,9 @@ def test_enumeration_parameters():
         "checkpoint_dir", "within"]
     assert names(hfspeed.enumerate_reduced) == [
         "f", "l", "n_max", "budget_limit", "threads"]
+
+
+def test_family_contains_parameters():
+    # the containment test takes a budget limit, as every scan does
+    assert list(inspect.signature(hfspeed.family_contains).parameters) == [
+        "f_sub", "f_super", "budget_limit"]
