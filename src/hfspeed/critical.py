@@ -33,10 +33,11 @@ import time
 from fractions import Fraction
 
 from .enumeration import _csv_table, enumerate_family
-from .errors import UnsupportedOperationError, ValidationError
+from .errors import (ResourceLimitError, UnsupportedOperationError,
+                     ValidationError)
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
                        Forb, HST, M, PartitionProduct, S, _first_member,
-                       _membership, family_contains)
+                       _membership, _refusal, family_contains)
 from .graphs import bits, complete
 from .stars import (PJFamily, _as_constellation, constellation_irreducible,
                     generate_constellations, is_s_star)
@@ -235,6 +236,30 @@ def _trend_verdicts(fracs, n_max):
 # ---------------------------------------------------------------------------
 # benchmark fraction of the clique-free family
 
+def _labeled_counts(f, n_max, budget_limit, threads, within=None):
+    """enumerate_family(f, n_max, within=within)'s labeled counts.  When
+    f and `within` list their member children, level n_max is not built:
+    a member minus its last vertex is a member (heredity), so each class
+    P below adds (n_max - 1)!/|Aut P| per child that both lists hold."""
+    listed = n_max > 0 and all(x._member_children(()) is not None
+                               for x in (f, within) if x is not None)
+    t = enumerate_family(f, n_max - 1 if listed else n_max,
+                         budget_limit=budget_limit, threads=threads,
+                         keep_members=listed, within=within)
+    if not listed:
+        return t.labeled, t.within_labeled
+    w = math.factorial(n_max - 1)
+    top = inside = 0
+    for g, aut in zip(t.members[-1], t.auts[-1]):
+        kids = set(f._member_children(g.rows))
+        top += w // aut * len(kids)
+        if within is not None:
+            inside += w // aut * len(
+                kids.intersection(within._member_children(g.rows)))
+    return (t.labeled + [top],
+            None if within is None else t.within_labeled + [inside])
+
+
 def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
                threads: int = 1) -> ExperimentReport:
     """Exact fraction |H(l,0)^n| / |forb(K_{l+1})^n| for n up to n_max.
@@ -243,11 +268,12 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     (enumerate_family's `within`).  Every l-colourable graph is
     K_{l+1}-free, so the classes of H(l, 0) are exactly the l-colourable
     classes of forb(K_{l+1}), and each adds n!/|Aut| to both labeled
-    counts.  No members are kept, so the top level is only counted and
-    its children are tested for colourability on their own labels, in
-    the pool workers when threads > 1; under a tight budget_limit that
-    level may be refused where a test on canonical labels would pass, or
-    the other way round.
+    counts.  At l = 2 the top level is read off the classes below
+    (_labeled_counts), with no membership call to refuse.  At l = 3 it is
+    only counted and its children are tested for colourability on their
+    own labels, in the pool workers when threads > 1; under a tight
+    budget_limit that level may be refused where a test on canonical
+    labels would pass, or the other way round.
     The asymptotic claim this probes says the fraction tends to 1, and
     the trend verdict honestly reports whether the last value beats the
     one three orders earlier, which at desk scale it may not.
@@ -257,13 +283,12 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     if not 4 <= n_max <= 10:
         raise ValidationError("n_max must lie in [4, 10]")
     start = time.perf_counter()
-    t = enumerate_family(Forb([complete(l + 1)]), n_max,
-                         budget_limit=budget_limit, threads=threads,
-                         keep_members=False, within=HST(l, 0))
+    totals, covers = _labeled_counts(Forb([complete(l + 1)]), n_max,
+                                     budget_limit, threads, HST(l, 0))
     fracs = [None] * (n_max + 1)
     rows = []
     for n in range(1, n_max + 1):
-        total, covered = t.labeled[n], t.within_labeled[n]
+        total, covered = totals[n], covers[n]
         if not 0 < covered <= total:
             raise RuntimeError(f"kpr count at n={n}: covered {covered} "
                                f"outside (0, {total}]")
@@ -318,7 +343,10 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
         spot = None
         fact = math.factorial(n)
         for g, aut in zip(table.members[n], table.auts[n]):
-            leaves = prod._partitions(g, Budget(budget_limit), 2)
+            try:
+                leaves = prod._partitions(g, Budget(budget_limit), 2)
+            except ResourceLimitError as e:
+                raise _refusal(prod, g, e) from e
             if not leaves:
                 continue
             w = fact // aut
@@ -407,7 +435,8 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
     bounded term, so the residual over the window [n_min, n_max]
     (default: the top half) should move by less than the declared two
     bits.  k is the true core size, not a fitted slope; the drift is
-    an honest measurement, not a regression.
+    an honest measurement, not a regression.  Only labeled counts are
+    read (_labeled_counts).
     """
     c = _as_constellation(sys)
     if not constellation_irreducible(c):
@@ -425,15 +454,13 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
     # P(J) with an empty core is H(#0s, #1s) over beta
     fam = HST(c.beta.count(0), c.beta.count(1)) if k == 0 else PJFamily(c)
     bench = HST(l, 0)
-    tp = enumerate_family(fam, n_max, budget_limit=budget_limit,
-                          threads=threads, keep_members=False)
-    tb = tp if fam == bench else enumerate_family(
-        bench, n_max, budget_limit=budget_limit, threads=threads,
-        keep_members=False)
+    tp = _labeled_counts(fam, n_max, budget_limit, threads)[0]
+    tb = tp if fam == bench else _labeled_counts(bench, n_max, budget_limit,
+                                                 threads)[0]
     rows = []
     residuals = {}
     for n in range(1, n_max + 1):
-        lab, blab = tp.labeled[n], tb.labeled[n]
+        lab, blab = tp[n], tb[n]
         # both sides keep at least one graph per order: the all-in-one-
         # crown split works for edgeless or complete depending on beta
         if not (lab > 0 and blab > 0):

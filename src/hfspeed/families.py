@@ -72,15 +72,19 @@ class Budget:
                 f"membership search exceeded node budget {self.limit}")
 
 
+def _refusal(family, g, e):
+    """e, raised deciding g, named by family, level (g's order) and g."""
+    return ResourceLimitError(f"{family.text()} at level {g.n}, graph "
+                              f"{graph6.encode(g)}: {e}")
+
+
 def _membership(family, g, budget_limit, new_vertex_only=False):
     """family's verdict on g under a fresh budget; an exhausted budget
-    raises ResourceLimitError naming the family, the level (g's order)
-    and g."""
+    raises the _refusal."""
     try:
         return family.membership(g, Budget(budget_limit), new_vertex_only)
     except ResourceLimitError as e:
-        raise ResourceLimitError(f"{family.text()} at level {g.n}, graph "
-                                 f"{graph6.encode(g)}: {e}") from e
+        raise _refusal(family, g, e) from e
 
 
 def _first_member(f, graphs, budget_limit):
@@ -236,7 +240,8 @@ class Family:
     def _member_children(self, rows):
         """Every mask s with add_vertex(P, s) in the family, for the graph P
         with these rows ([] when P is outside it), or None when the
-        constructor does not read them off P."""
+        constructor does not read them off P; its answer on the empty
+        graph () tells whether it does."""
         return None
 
     def membership(self, g: Graph, budget: Budget | None = None,
@@ -486,30 +491,27 @@ def _hst_cert(masks, s, t):
 
 
 def _two_color(g):
-    """Proper 2-coloring as [mask0, mask1], BFS per component, or None."""
-    color = {}
+    """Proper 2-coloring as [mask0, mask1], or None: each component is
+    walked layer by layer from its least vertex, even layers in mask0,
+    and the coloring is proper iff no edge joins two vertices of a side."""
     rows = g.rows
-    m0 = m1 = 0
-    for root in range(g.n):
-        if root in color:
-            continue
-        color[root] = 0
-        m0 |= 1 << root
-        queue = [root]
-        while queue:
-            u = queue.pop()
-            cu = color[u]
-            for v in bits(rows[u]):
-                if v not in color:
-                    color[v] = 1 - cu
-                    if color[v]:
-                        m1 |= 1 << v
-                    else:
-                        m0 |= 1 << v
-                    queue.append(v)
-                elif color[v] == cu:
-                    return None
-    return [m0, m1]
+    sides = [0, 0]
+    todo = g.full_mask()
+    while todo:
+        front = seen = todo & -todo
+        side = 0
+        while front:
+            sides[side] |= front
+            reach = 0
+            for v in bits(front):
+                reach |= rows[v]
+            front = reach & ~seen
+            seen |= front
+            side ^= 1
+        todo &= ~seen
+    if any(rows[v] & m for m in sides for v in bits(m)):
+        return None
+    return sides
 
 
 def _submasks(m):

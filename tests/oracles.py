@@ -216,6 +216,28 @@ def bfs_subset_orbits(n, generators, masks=None):
     return reps
 
 
+def bfs_two_color(g):
+    """[mask0, mask1] of a proper 2-coloring by a dict-keyed BFS from
+    each component's least uncoloured vertex (coloured 0), or None."""
+    color = {}
+    for root in range(g.n):
+        if root in color:
+            continue
+        color[root] = 0
+        queue = [root]
+        while queue:
+            u = queue.pop(0)
+            for v in range(g.n):
+                if not g.rows[u] >> v & 1:
+                    continue
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return None
+    return [sum(1 << v for v in color if color[v] == c) for c in (0, 1)]
+
+
 def brute_first_embedding(pattern, host, pin=None):
     """The first image tuple in itertools.permutations order, which is the
     lexicographically least witness, under which host induces pattern.

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hfspeed.critical import (
-    CriticalityVerdict, ExperimentReport, FIRST_PART_MENU,
+    CriticalityVerdict, ExperimentReport, FIRST_PART_MENU, _labeled_counts,
     criticality_tuples, is_critical, verify_constellation_cover, verify_kpr,
     verify_partition_fraction, verify_star_speed,
 )
@@ -220,29 +220,46 @@ class TestVerifyKpr:
         assert [int(row["total"]) for row in r.rows] == sup.labeled[1:]
 
     def test_top_level_is_counted(self, monkeypatch):
-        # the top level keeps nothing, so most of its children get no
-        # canonical form
+        # forb(K3) and H(2, 0) list their member children, so the top level
+        # is read off the classes below: no augmentation, no membership
+        # call and no canonical form at n = 8
         import hfspeed.enumeration as enumeration
-        forms, tops = [], []
+        from hfspeed.families import Family
+        forms, levels, decided = [], [], []
         real_form, real_records = (enumeration.canonical_form,
                                    enumeration._child_records)
+        real_membership = Family.membership
 
         def form(g):
             forms.append(g.n)
             return real_form(g)
 
-        def records(family, parents, n, budget_limit, counted, *rest):
-            if n == 7:
-                tops.append(counted)
-            return real_records(family, parents, n, budget_limit, counted,
-                                *rest)
+        def records(family, parents, n, *rest):
+            levels.append(n)
+            return real_records(family, parents, n, *rest)
+
+        def membership(self, g, *rest):
+            decided.append(g.n)
+            return real_membership(self, g, *rest)
 
         monkeypatch.setattr(enumeration, "canonical_form", form)
         monkeypatch.setattr(enumeration, "_child_records", records)
+        monkeypatch.setattr(Family, "membership", membership)
         r = verify_kpr(2, 8)
-        assert tops == [True]
+        assert 7 not in levels and max(levels) == 6
+        assert forms.count(8) == 0 and decided.count(8) == 0
+        assert max(decided) == 7
         assert r.rows[7]["total"] == "4682270"
-        assert forms.count(8) < 410  # forb(K3) has 410 classes at n = 8
+
+    def test_listed_top_level_needs_no_budget(self):
+        # budget 6 covers forb(K3)'s anchored check to n = 5 (n + 1 nodes)
+        # and the top level n = 6 makes no membership call
+        assert verify_kpr(2, 6, budget_limit=6).rows == verify_kpr(2, 6).rows
+        with pytest.raises(ResourceLimitError) as info:
+            verify_kpr(2, 6, budget_limit=5)
+        assert str(info.value) == ("forb(K3) at level 5, graph D??: "
+                                   "membership search exceeded node "
+                                   "budget 5")
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_top_level_budget_error_names_the_colouring(self, threads):
@@ -283,6 +300,37 @@ class TestVerifyKpr:
         assert len(lines) == 5
 
 
+class TestLabeledCounts:
+    # _labeled_counts against a whole enumeration, on the listed route
+    # (forb(K3), H(2, 0)) and the unlisted one
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("f, within", [(FORB_K3, HST(2, 0)),
+                                           (HST(2, 0), None)])
+    def test_listed_route(self, f, within, threads):
+        t = enumerate_family(f, 9, threads=threads, keep_members=False,
+                             within=within)
+        got = _labeled_counts(f, 9, None, threads, within)
+        assert got == (t.labeled, t.within_labeled)
+
+    @pytest.mark.parametrize("f, within, n_max", [
+        (Forb([complete(4)]), HST(3, 0), 7),
+        (PJFamily(Constellation(edgeless(2), (0, 1), (1, 1), (0, 0))),
+         None, 6)])
+    def test_unlisted_route(self, f, within, n_max):
+        assert f._member_children(()) is None
+        t = enumerate_family(f, n_max, keep_members=False, within=within)
+        got = _labeled_counts(f, n_max, None, 1, within)
+        assert got == (t.labeled, t.within_labeled)
+
+    def test_low_orders(self):
+        for n_max in range(3):
+            t = enumerate_family(FORB_K3, n_max, keep_members=False,
+                                 within=HST(2, 0))
+            got = _labeled_counts(FORB_K3, n_max, None, 1, HST(2, 0))
+            assert got == (t.labeled, t.within_labeled)
+
+
 class TestVerifyPartitionFraction:
     def test_bipartition_matches_clique_benchmark(self):
         r = verify_partition_fraction(FORB_K3, S, 2, 7)
@@ -309,6 +357,20 @@ class TestVerifyPartitionFraction:
             for p in parts:
                 assert all(not g.rows[u] >> v & 1 for u in p for v in p)
             assert not brute_embeds_induced(complete(3), g)
+
+    def test_budget_error_names_product_level_and_graph(self):
+        # budgets 1-5 run out in the enumeration, 6-47 in a partition walk
+        for b in range(1, 48):
+            with pytest.raises(ResourceLimitError) as info:
+                verify_partition_fraction(FORB_K3, S, 2, 5, budget_limit=b)
+            msg = str(info.value)
+            head = "forb(K3)" if b <= 5 else "P(S, S)"
+            assert msg.startswith(f"{head} at level "), (b, msg)
+            assert ", graph " in msg and info.value.__cause__ is not None
+            assert msg.endswith(f": membership search exceeded node budget "
+                                f"{b}")
+        r = verify_partition_fraction(FORB_K3, S, 2, 5, budget_limit=48)
+        assert [row["fraction"] for row in r.rows] == KPR2_FRACS[:5]
 
     def test_validation(self):
         with pytest.raises(ValidationError):

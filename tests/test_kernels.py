@@ -1,4 +1,5 @@
-"""The embedding kernel against brute force, and pinned search results.
+"""The embedding kernel and the 2-colouring against brute force, and
+pinned search results.
 
 The brute-force checks compare first witnesses, not just existence: the
 witness is a certificate, so the kernel must return the lexicographically
@@ -12,7 +13,7 @@ import random
 
 from hfspeed.enumeration import enumerate_family
 from hfspeed.errors import ResourceLimitError
-from hfspeed.families import ALL, Forb, Iota
+from hfspeed.families import ALL, Forb, Iota, _two_color
 from hfspeed.graphs import (
     Graph, _embed, complement, complete, copies, cycle, edgeless,
     find_induced_embedding, induced_subgraph, path, relabel, star,
@@ -21,7 +22,8 @@ from hfspeed.stars import (
     Constellation, StarSystem, find_template, is_member_PJ,
 )
 from oracles import (
-    all_labeled_graphs, brute_first_embedding, constellation_host,
+    all_labeled_graphs, bfs_two_color, brute_first_embedding,
+    constellation_host,
 )
 
 PATTERNS = [g for n in range(5) for g in all_labeled_graphs(n)]
@@ -46,6 +48,26 @@ def test_pinned_first_witness_matches_brute_force():
                     got = _embed(p.rows, h, order, pin=hv)
                     want = brute_first_embedding(p, h, pin=(pv, hv))
                     assert got == want, (p, h, pv, hv)
+
+
+def test_two_color_matches_bfs():
+    # every class to 7 vertices, then seeded random graphs to 12, half of
+    # them bipartite by construction so that both answers get exercised
+    graphs = [g for level in enumerate_family(ALL, 7).members for g in level]
+    rng = random.Random(24)
+    for i in range(2000):
+        n = rng.randint(1, 12)
+        side = [rng.randint(0, 1) for _ in range(n)]
+        rows = [0] * n
+        for u in range(n):
+            for v in range(u):
+                if (i % 2 or side[u] != side[v]) and rng.random() < 0.3:
+                    rows[u] |= 1 << v
+                    rows[v] |= 1 << u
+        graphs.append(Graph.from_rows(rows))
+    assert sum(bfs_two_color(g) is not None for g in graphs) > 1000
+    for g in graphs:
+        assert _two_color(g) == bfs_two_color(g), g.rows
 
 
 # ---------------------------------------------------------------------------
