@@ -32,7 +32,7 @@ import math
 import time
 from fractions import Fraction
 
-from .enumeration import _csv_table, enumerate_family
+from .enumeration import _csv_table, _labeled_counts, enumerate_family
 from .errors import (ResourceLimitError, UnsupportedOperationError,
                      ValidationError)
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
@@ -225,40 +225,23 @@ class ExperimentReport:
                 f"rows={len(self.rows)}, verdicts={self.verdicts})")
 
 
-def _trend_verdicts(fracs, n_max):
-    """Compare the last fraction against three orders earlier."""
+def _fraction_rows(totals, covers, n_max):
+    """The exact fractions covers[n] / totals[n] for n = 1..n_max (None at
+    0), their flat n/total/covered/fraction rows, and the trend verdict:
+    the last fraction against the one three orders earlier."""
+    fracs = [None] + [Fraction(covers[n], totals[n])
+                      for n in range(1, n_max + 1)]
+    rows = [{"n": n, "total": str(totals[n]), "covered": str(covers[n]),
+             "fraction": str(fracs[n])} for n in range(1, n_max + 1)]
     lo = n_max - 3
     if lo < 1:
-        return {"trend_up": None, "trend_pair": None}
-    return {"trend_up": fracs[n_max] > fracs[lo], "trend_pair": [lo, n_max]}
+        return fracs, rows, {"trend_up": None, "trend_pair": None}
+    return fracs, rows, {"trend_up": fracs[n_max] > fracs[lo],
+                         "trend_pair": [lo, n_max]}
 
 
 # ---------------------------------------------------------------------------
 # benchmark fraction of the clique-free family
-
-def _labeled_counts(f, n_max, budget_limit, threads, within=None):
-    """enumerate_family(f, n_max, within=within)'s labeled counts.  When
-    f and `within` list their member children, level n_max is not built:
-    a member minus its last vertex is a member (heredity), so each class
-    P below adds (n_max - 1)!/|Aut P| per child that both lists hold."""
-    listed = n_max > 0 and all(x._member_children(()) is not None
-                               for x in (f, within) if x is not None)
-    t = enumerate_family(f, n_max - 1 if listed else n_max,
-                         budget_limit=budget_limit, threads=threads,
-                         keep_members=listed, within=within)
-    if not listed:
-        return t.labeled, t.within_labeled
-    w = math.factorial(n_max - 1)
-    top = inside = 0
-    for g, aut in zip(t.members[-1], t.auts[-1]):
-        kids = set(f._member_children(g.rows))
-        top += w // aut * len(kids)
-        if within is not None:
-            inside += w // aut * len(
-                kids.intersection(within._member_children(g.rows)))
-    return (t.labeled + [top],
-            None if within is None else t.within_labeled + [inside])
-
 
 def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
                threads: int = 1) -> ExperimentReport:
@@ -285,17 +268,11 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     start = time.perf_counter()
     totals, covers = _labeled_counts(Forb([complete(l + 1)]), n_max,
                                      budget_limit, threads, HST(l, 0))
-    fracs = [None] * (n_max + 1)
-    rows = []
     for n in range(1, n_max + 1):
-        total, covered = totals[n], covers[n]
-        if not 0 < covered <= total:
-            raise RuntimeError(f"kpr count at n={n}: covered {covered} "
-                               f"outside (0, {total}]")
-        fracs[n] = Fraction(covered, total)
-        rows.append({"n": n, "total": str(total), "covered": str(covered),
-                     "fraction": str(fracs[n])})
-    verdicts = _trend_verdicts(fracs, n_max)
+        if not 0 < covers[n] <= totals[n]:
+            raise RuntimeError(f"kpr count at n={n}: covered {covers[n]} "
+                               f"outside (0, {totals[n]}]")
+    fracs, rows, verdicts = _fraction_rows(totals, covers, n_max)
     return ExperimentReport("kpr", {"l": l, "n_max": n_max}, rows, verdicts,
                             time.perf_counter() - start,
                             extras={"fractions": fracs})
@@ -334,11 +311,8 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
     prod = PartitionProduct((t_family,) * l)
     table = enumerate_family(f, n_max, budget_limit=budget_limit,
                              threads=threads, keep_members=True)
-    fracs = [None] * (n_max + 1)
-    rows = []
-    spots = []
+    covers, uniques, spots = [None], [None], []
     for n in range(1, n_max + 1):
-        total = table.labeled[n]
         covered = unique_balanced = 0
         spot = None
         fact = math.factorial(n)
@@ -356,16 +330,13 @@ def verify_partition_fraction(f, t_family, l: int, n_max: int, *,
                 unique_balanced += w
             if spot is None:
                 spot = {"n": n, "graph": graph6.encode(g), "parts": parts}
-        fracs[n] = Fraction(covered, total)
+        covers.append(covered)
+        uniques.append(unique_balanced)
         if spot is not None:
             spots.append(spot)
-        rows.append({
-            "n": n, "total": str(total), "covered": str(covered),
-            "fraction": str(fracs[n]),
-            "unique_balanced": (str(Fraction(unique_balanced, covered))
-                                if covered else None),
-        })
-    verdicts = _trend_verdicts(fracs, n_max)
+    fracs, rows, verdicts = _fraction_rows(table.labeled, covers, n_max)
+    for row, c, u in zip(rows, covers[1:], uniques[1:]):
+        row["unique_balanced"] = str(Fraction(u, c)) if c else None
     # one replayable certificate per order: the first partitioned member
     # in canonical enumeration order
     verdicts["spots"] = spots
@@ -396,24 +367,17 @@ def verify_constellation_cover(f, l: int, s: int, n_max: int, *,
     if not 1 <= n_max <= 10:
         raise ValidationError("n_max must lie in [1, 10]")
     start = time.perf_counter()
-    covers = [pj for pj in map(PJFamily, generate_constellations(l, s))
-              if family_contains(pj, f, budget_limit)[0]]
-    selected = [pj.constellation for pj in covers]
+    pjs = [pj for pj in map(PJFamily, generate_constellations(l, s))
+           if family_contains(pj, f, budget_limit)[0]]
+    selected = [pj.constellation for pj in pjs]
     table = enumerate_family(f, n_max, budget_limit=budget_limit,
                              threads=threads, keep_members=True)
-    fracs = [None] * (n_max + 1)
-    rows = []
-    for n in range(1, n_max + 1):
-        total = table.labeled[n]
-        covered = 0
-        fact = math.factorial(n)
-        for g, aut in zip(table.members[n], table.auts[n]):
-            if any(_membership(pj, g, budget_limit).member for pj in covers):
-                covered += fact // aut
-        fracs[n] = Fraction(covered, total)
-        rows.append({"n": n, "total": str(total), "covered": str(covered),
-                     "fraction": str(fracs[n])})
-    verdicts = _trend_verdicts(fracs, n_max)
+    covers = [None] + [
+        sum(math.factorial(n) // aut
+            for g, aut in zip(table.members[n], table.auts[n])
+            if any(_membership(pj, g, budget_limit).member for pj in pjs))
+        for n in range(1, n_max + 1)]
+    fracs, rows, verdicts = _fraction_rows(table.labeled, covers, n_max)
     verdicts["selected"] = len(selected)
     params = {"family": f.text(), "l": l, "s": s, "n_max": n_max,
               "selected": [c.to_json_obj() for c in selected]}

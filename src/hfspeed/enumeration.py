@@ -16,9 +16,10 @@ via precomputed degree-threshold masks.
 Children read off the parent: forb(K3) and H(2, 0) list, from a member
 parent P alone, every neighbourhood of x that gives a member child (the
 independent sets of P; a subset of one side of each component of P), and
-only those are orbit-reduced and decided by the family's own engine.  On
-a counted level a child is in `within` iff its mask is among those that
-`within` lists, with no membership call.
+only those are orbit-reduced and decided by the family's own engine.
+Their labeled counts need no top level (_labeled_counts): a member on
+[n] minus vertex n - 1 is a member on [n - 1], so each class P of level
+n - 1 adds (n - 1)!/|Aut P| per child it lists.
 
 Hereditary no-goods, for the other families: when the family rejects
 child(P, sub), its _rejection_support may name a witness W, a set of
@@ -61,7 +62,7 @@ from itertools import combinations, repeat
 from .canon import canonical_form, subset_orbits, vertex_invariant, vertex_orbit
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
-from .families import Family, _membership
+from .families import HST, Family, _membership
 from .graphs import Graph, add_vertex
 
 ENUM_MAX_N = 16
@@ -145,11 +146,8 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
     on a counted level (None, inside, aut), where inside is the child's
     verdict in `within`, None without one (see the module docstring)."""
 
-    def inside(child, sub):
+    def inside(child):
         if within is not None:
-            # the masks `within` reads off P list its member children exactly
-            if ins is not None:
-                return sub in ins
             return _membership(within, child, budget_limit).member
 
     out = []
@@ -163,9 +161,6 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
             for t in range(d + 1):
                 deg_mask[t] |= 1 << v
         cands = family._member_children(rows)
-        if counted and within is not None:
-            ins = within._member_children(rows)
-            ins = ins if ins is None else set(ins)
         survivors = []
         for sub in range(1 << n) if cands is None else sorted(cands):
             t = sub.bit_count()
@@ -192,14 +187,14 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
             if inv[n] != vmax:
                 continue
             if counted and inv.count(vmax) == 1:
-                out.append((None, inside(child, sub), aut // size))
+                out.append((None, inside(child), aut // size))
                 continue
             cf = canonical_form(child)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
                 continue
             if counted:
-                out.append((None, inside(child, sub), cf.aut_order))
+                out.append((None, inside(child), cf.aut_order))
                 continue
             lab = cf.labeling
             inv_lab = [0] * nb
@@ -298,8 +293,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     their |Aut| read off the parent's group, for the same counts.
     A `within` family is tallied alongside: within_labeled[n] counts the
     members on [n] that lie in it, each class tested once on a fresh
-    budget (a counted top level tests its children on their own labels,
-    or reads them off the masks `within` lists, as H(2, 0) does).
+    budget (a counted top level tests its children on their own labels).
     An exhausted membership budget raises ResourceLimitError naming the
     family (f or within), the level and the graph being decided; so does
     a pool worker that dies, naming f and the level.
@@ -377,6 +371,32 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                       gens, within_labeled)
 
 
+def _labeled_counts(f, n_max, budget_limit, threads, within=None):
+    """enumerate_family(f, n_max, within=within)'s labeled counts.  When
+    f and `within` list their member children, level n_max is not built:
+    a member minus its last vertex is a member (heredity), so each class
+    P below adds (n_max - 1)!/|Aut P| per child that both lists hold.  An
+    n_max outside 0..ENUM_MAX_N is refused, as enumerate_family does."""
+    listed = 0 < n_max <= ENUM_MAX_N and all(
+        x._member_children(()) is not None
+        for x in (f, within) if x is not None)
+    t = enumerate_family(f, n_max - 1 if listed else n_max,
+                         budget_limit=budget_limit, threads=threads,
+                         keep_members=listed, within=within)
+    if not listed:
+        return t.labeled, t.within_labeled
+    w = math.factorial(n_max - 1)
+    top = inside = 0
+    for g, aut in zip(t.members[-1], t.auts[-1]):
+        kids = set(f._member_children(g.rows))
+        top += w // aut * len(kids)
+        if within is not None:
+            inside += w // aut * len(
+                kids.intersection(within._member_children(g.rows)))
+    return (t.labeled + [top],
+            None if within is None else t.within_labeled + [inside])
+
+
 # ---------------------------------------------------------------------------
 # the independent counting route
 
@@ -435,18 +455,16 @@ def speed_delta(f: Family, l: int, n_max: int, *, budget_limit=None,
                 bench: SpeedTable | None = None) -> DeltaReport:
     """Fit delta(n) = h(F,n) - h(H(l),n) ~ k*log2(n) + O(1) over the top
     half of the range; k is rounded and clamped at 0, drift is the spread
-    of the residual delta(n) - k*log2(n) there."""
-    from .families import HST
-    if table is None:
-        table = enumerate_family(f, n_max, budget_limit=budget_limit,
-                                 threads=threads, keep_members=False)
-    if bench is None:
-        bench = enumerate_family(HST(l, 0), n_max, budget_limit=budget_limit,
-                                 threads=threads, keep_members=False)
+    of the residual delta(n) - k*log2(n) there.  The labeled counts are
+    _labeled_counts' unless a table (of f) or bench (of H(l)) is given."""
+    tl = (_labeled_counts(f, n_max, budget_limit, threads)[0]
+          if table is None else table.labeled)
+    bl = (_labeled_counts(HST(l, 0), n_max, budget_limit, threads)[0]
+          if bench is None else bench.labeled)
     delta = [None] * (n_max + 1)
     for n in range(n_max + 1):
-        if table.labeled[n] > 0 and bench.labeled[n] > 0:
-            delta[n] = math.log2(Fraction(table.labeled[n], bench.labeled[n]))
+        if tl[n] > 0 and bl[n] > 0:
+            delta[n] = math.log2(Fraction(tl[n], bl[n]))
     fit_ns = [n for n in range(max(1, n_max // 2 + 1), n_max + 1)
               if delta[n] is not None]
     if len(fit_ns) < 2:

@@ -37,8 +37,8 @@ from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
 from .graphs import (
-    Graph, _embed, _typed_parts, bits, delete_vertex, induced_subgraph,
-    mask_of,
+    MAX_VERTICES, Graph, _embed, _typed_parts, bits, delete_vertex,
+    induced_subgraph, mask_of,
 )
 from . import graph6
 
@@ -752,11 +752,11 @@ def minimal_nonstar_scan(s: int, n_max: int, *, samples: int | None = None,
     """Hunt for vertex-minimal non-s-stars.
 
     Exhaustive mode (samples is None) walks every unlabeled graph up to
-    n_max (capped at 8 by enumeration cost).  Random mode draws
-    `samples` graphs: order uniform in 1..n_max, then each edge an
-    independent fair coin from random.Random(seed), pairs in
-    lexicographic order; the seed lands in the report so runs are
-    reproducible.  Witnesses are canonical graph6, deduplicated, sorted.
+    n_max (capped at 8 by enumeration cost).  Random mode (n_max capped
+    at MAX_VERTICES) draws `samples` graphs: order uniform in 1..n_max,
+    then each edge an independent fair coin from random.Random(seed),
+    pairs in lexicographic order; the seed lands in the report so runs
+    are reproducible.  Witnesses are canonical graph6, deduplicated, sorted.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
@@ -780,6 +780,9 @@ def minimal_nonstar_scan(s: int, n_max: int, *, samples: int | None = None,
     from .canon import canonical_form as _cf
     if samples < 1:
         raise ValidationError("samples must be >= 1")
+    if n_max > MAX_VERTICES:
+        raise CapacityError(f"random non-star scan is capped at n = "
+                            f"{MAX_VERTICES}")
     rng = random.Random(seed)
     per_n = {}
     for _ in range(samples):

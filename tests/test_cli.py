@@ -102,6 +102,12 @@ class TestStars:
         assert obj["mode"] == "random"
         assert obj["seed"] == 7 and obj["samples"] == 50
 
+    def test_random_order_cap(self, capsys):
+        code, out, err = run(capsys, ["stars", "--s", "0", "--n-max", "65",
+                                      "--samples", "1"])
+        assert code == 2 and out == ""
+        assert "capped at n = 64" in err
+
     def test_csv_groups_witnesses(self, capsys):
         code, out, _ = run(capsys, ["stars", "--s", "0", "--n-max", "4",
                                     "--format", "csv"])

@@ -502,14 +502,14 @@ class TestVerifyStarSpeed:
         assert r1.verdicts["window"] == [5, 8]
 
     def test_empty_core_enumerates_each_family_once(self, monkeypatch):
-        import hfspeed.critical as critical
+        import hfspeed.enumeration as enumeration
         seen = []
 
         def counting(f, n_max, **kw):
             seen.append(f.text())
             return enumerate_family(f, n_max, **kw)
 
-        monkeypatch.setattr(critical, "enumerate_family", counting)
+        monkeypatch.setattr(enumeration, "enumerate_family", counting)
         r = verify_star_speed(Constellation(K0, (), (), (0, 0)), 2, 6)
         assert seen == ["H(2, 0)"]
         split = Constellation(K0, (), (), (0, 1))

@@ -11,8 +11,8 @@ import pytest
 
 from hfspeed.canon import canonical_form, canonical_graph, group_order
 from hfspeed.enumeration import (
-    DeltaReport, SpeedTable, enumerate_family, labeled_count_direct,
-    speed_delta,
+    ENUM_MAX_N, DeltaReport, SpeedTable, enumerate_family,
+    labeled_count_direct, speed_delta,
 )
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
@@ -602,6 +602,12 @@ class TestSpeedDelta:
         assert rep.delta[5] == pytest.approx(math.log2(388 / 376))
         assert rep.delta[6] == pytest.approx(math.log2(5789 / 5177))
         assert rep.k_fit == 1
+
+    def test_order_cap(self):
+        # the listed route builds one level less, but still refuses an
+        # n_max that enumerate_family refuses
+        with pytest.raises(CapacityError):
+            speed_delta(Forb([complete(3)]), 2, ENUM_MAX_N + 1)
 
     def test_accepts_precomputed_tables(self):
         fam = Forb([complete(3)])

@@ -666,6 +666,13 @@ class TestScans:
         with pytest.raises(CapacityError):
             minimal_nonstar_scan(0, 9)
 
+    def test_random_order_cap(self):
+        # past MAX_VERTICES the draw would build graphs over the cap
+        with pytest.raises(CapacityError):
+            minimal_nonstar_scan(0, 65, samples=1)
+        rep = minimal_nonstar_scan(0, 64, samples=1)
+        assert rep.n_max == 64 and rep.mode == "random"
+
     def test_random_scan_reproducible(self):
         a = minimal_nonstar_scan(1, 12, samples=500, seed=11)
         b = minimal_nonstar_scan(1, 12, samples=500, seed=11)
