@@ -30,9 +30,11 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from fractions import Fraction
 
-from .enumeration import _csv_table, _labeled_counts, enumerate_family
+from .enumeration import (_bench_counts, _csv_table, _labeled_counts,
+                          enumerate_family)
 from .errors import (ResourceLimitError, UnsupportedOperationError,
                      ValidationError)
 from .families import (Apex, Budget, C, ComplementFamily, DisjointUnionFam,
@@ -62,7 +64,8 @@ FIRST_PART_MENU = (
 )
 
 
-class CriticalityVerdict:
+class CriticalityVerdict(namedtuple(
+        "CriticalityVerdict", "critical l s witness refutations n_check")):
     """Outcome of a criticality decision.
 
     critical: the boolean verdict at level l = chi_c(f).
@@ -78,16 +81,7 @@ class CriticalityVerdict:
        certificate.
     """
 
-    __slots__ = ("critical", "l", "s", "witness", "refutations", "n_check")
-
-    def __init__(self, critical, l, s, witness, refutations, n_check):
-        self.critical = critical
-        self.l = l
-        self.s = s
-        self.witness = tuple(witness) if witness is not None else None
-        self.refutations = (tuple(refutations)
-                            if refutations is not None else None)
-        self.n_check = n_check
+    __slots__ = ()
 
     def __bool__(self):
         return self.critical
@@ -160,7 +154,7 @@ def is_critical(f, *, n_check: int = 8, budget_limit: int | None = None,
             return CriticalityVerdict(False, l, None, fams, None, n_check)
         refutations.append((fams, hit[0], hit[1].certificate))
     s = _s_at_horizon(f, l, n_check, budget_limit, threads)
-    return CriticalityVerdict(True, l, s, None, refutations, n_check)
+    return CriticalityVerdict(True, l, s, None, tuple(refutations), n_check)
 
 
 def _s_at_horizon(f, l, n_check, budget_limit, threads):
@@ -186,7 +180,9 @@ def _s_at_horizon(f, l, n_check, budget_limit, threads):
 # ---------------------------------------------------------------------------
 # experiment reports
 
-class ExperimentReport:
+class ExperimentReport(namedtuple(
+        "ExperimentReport", "experiment params rows verdicts runtime extras",
+        defaults=(0.0, None))):
     """One experiment's exact rows plus its verdicts.
 
     rows is a list of flat dicts with a fixed key order; counts are
@@ -197,17 +193,7 @@ class ExperimentReport:
     clock or the process.
     """
 
-    __slots__ = ("experiment", "params", "rows", "verdicts", "runtime",
-                 "extras")
-
-    def __init__(self, experiment, params, rows, verdicts, runtime=0.0,
-                 extras=None):
-        self.experiment = experiment
-        self.params = dict(params)
-        self.rows = [dict(r) for r in rows]
-        self.verdicts = dict(verdicts)
-        self.runtime = runtime
-        self.extras = extras
+    __slots__ = ()
 
     def to_json_obj(self):
         return {"experiment": self.experiment, "params": self.params,
@@ -417,10 +403,8 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
     k = c.j.n
     # P(J) with an empty core is H(#0s, #1s) over beta
     fam = HST(c.beta.count(0), c.beta.count(1)) if k == 0 else PJFamily(c)
-    bench = HST(l, 0)
     tp = _labeled_counts(fam, n_max, budget_limit, threads)[0]
-    tb = tp if fam == bench else _labeled_counts(bench, n_max, budget_limit,
-                                                 threads)[0]
+    tb = _bench_counts(fam, l, n_max, budget_limit, threads, tp)
     rows = []
     residuals = {}
     for n in range(1, n_max + 1):

@@ -56,6 +56,7 @@ import io
 import math
 import os
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, repeat
 
@@ -88,7 +89,9 @@ def _csv_table(rows):
     return "".join(_csv_line(r) + "\n" for r in rows)
 
 
-class SpeedTable:
+class SpeedTable(namedtuple(
+        "SpeedTable", "family_text n_max unlabeled labeled members auts gens "
+        "within_labeled", defaults=(None, None, None, None))):
     """Per-order counts of a family: unlabeled classes, labeled graphs, h.
 
     h(n) = log2(labeled[n]) as a float for display; every consumer that
@@ -103,33 +106,29 @@ class SpeedTable:
     lie in the run's `within` family, and None when no `within` was given.
     """
 
-    def __init__(self, family_text, n_max, unlabeled, labeled, members=None,
-                 auts=None, gens=None, within_labeled=None):
-        self.family_text = family_text
-        self.n_max = n_max
-        self.unlabeled = list(unlabeled)
-        self.labeled = list(labeled)
-        self.members = members
-        self.auts = auts
-        self.gens = gens
-        self.within_labeled = within_labeled
-        self.h_bits = [math.log2(c) if c > 0 else float("-inf")
-                       for c in self.labeled]
+    __slots__ = ()
+
+    @property
+    def h_bits(self):
+        return [math.log2(c) if c > 0 else float("-inf")
+                for c in self.labeled]
 
     def to_csv(self) -> str:
+        h = self.h_bits
         rows = [["n", "unlabeled", "labeled", "h_bits"]] + [
-            [n, self.unlabeled[n], self.labeled[n], f"{self.h_bits[n]:.12f}"]
+            [n, self.unlabeled[n], self.labeled[n], f"{h[n]:.12f}"]
             for n in range(self.n_max + 1)]
         return _csv_table(rows)
 
     def to_json_obj(self):
+        h = self.h_bits
         return {
             "family": self.family_text,
             "n_max": self.n_max,
             "rows": [
                 {"n": n, "unlabeled": self.unlabeled[n],
                  "labeled": str(self.labeled[n]),
-                 "h_bits": self.h_bits[n] if self.labeled[n] else None}
+                 "h_bits": h[n] if self.labeled[n] else None}
                 for n in range(self.n_max + 1)
             ],
         }
@@ -397,6 +396,14 @@ def _labeled_counts(f, n_max, budget_limit, threads, within=None):
             None if within is None else t.within_labeled + [inside])
 
 
+def _bench_counts(f, l, n_max, budget_limit, threads, counts):
+    """The benchmark H(l, 0)'s labeled counts to n_max: `counts`, which
+    are f's own, when f is H(l, 0), else _labeled_counts'."""
+    bench = HST(l, 0)
+    return (counts if f == bench
+            else _labeled_counts(bench, n_max, budget_limit, threads)[0])
+
+
 # ---------------------------------------------------------------------------
 # the independent counting route
 
@@ -425,18 +432,12 @@ def labeled_count_direct(f: Family, n: int, budget_limit: int | None = None) -> 
 # ---------------------------------------------------------------------------
 # speed deltas against the benchmark H(l) = H(l, 0)
 
-class DeltaReport:
+class DeltaReport(namedtuple("DeltaReport",
+                            "family_text l n_max delta k_fit drift fit_ns")):
     """delta(n) = h(F, n) - h(H(l), n), a fitted log coefficient and the
     residual drift over the top half of the range."""
 
-    def __init__(self, family_text, l, n_max, delta, k_fit, drift, fit_ns):
-        self.family_text = family_text
-        self.l = l
-        self.n_max = n_max
-        self.delta = delta
-        self.k_fit = k_fit
-        self.drift = drift
-        self.fit_ns = fit_ns
+    __slots__ = ()
 
     def to_json_obj(self):
         return {
@@ -456,10 +457,14 @@ def speed_delta(f: Family, l: int, n_max: int, *, budget_limit=None,
     """Fit delta(n) = h(F,n) - h(H(l),n) ~ k*log2(n) + O(1) over the top
     half of the range; k is rounded and clamped at 0, drift is the spread
     of the residual delta(n) - k*log2(n) there.  The labeled counts are
-    _labeled_counts' unless a table (of f) or bench (of H(l)) is given."""
+    _labeled_counts' unless a table (of f) or bench (of H(l)) is given;
+    when f is H(l) itself and no table is given, f's counts serve both
+    sides."""
     tl = (_labeled_counts(f, n_max, budget_limit, threads)[0]
           if table is None else table.labeled)
-    bl = (_labeled_counts(HST(l, 0), n_max, budget_limit, threads)[0]
+    # a given table is not f's counts, so it never stands in for H(l)
+    bl = (_bench_counts(f if table is None else None, l, n_max,
+                        budget_limit, threads, tl)
           if bench is None else bench.labeled)
     delta = [None] * (n_max + 1)
     for n in range(n_max + 1):

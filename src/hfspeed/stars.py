@@ -31,6 +31,7 @@ requirement that the crown induce a complete or edgeless graph.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 from .canon import canonical_form, subset_orbit_reps
@@ -91,24 +92,19 @@ def is_s_star(g: Graph, s: int) -> bool:
 # ---------------------------------------------------------------------------
 # star systems
 
-def _fill(obj, *fields):
-    """Set the slots of an immutable record in order; returns obj."""
-    for name, value in zip(type(obj).__slots__, fields):
-        object.__setattr__(obj, name, value)
-    return obj
-
-
-class StarSystem:
+class StarSystem(namedtuple("StarSystem", "j alpha beta")):
     """A star system (J, alpha, beta).
 
     J is the core pattern; alpha[v] = 1 means core vertex v is joined to
     the whole crown (0: to none of it); beta = 1 means the crown is a
-    clique (0: independent).
+    clique (0: independent).  The constructor checks its fields; _make
+    (and _replace, which goes through it) builds from fields already
+    checked (alpha a 0/1 tuple, beta an int) without the checks.
     """
 
-    __slots__ = ("j", "alpha", "beta")
+    __slots__ = ()
 
-    def __init__(self, j: Graph, alpha, beta):
+    def __new__(cls, j: Graph, alpha, beta):
         if not isinstance(j, Graph):
             raise ValidationError("star system needs a core graph")
         alpha = tuple(int(a) for a in alpha)
@@ -116,23 +112,11 @@ class StarSystem:
             raise ValidationError("alpha must map V(J) to {0,1}")
         if beta not in (0, 1):
             raise ValidationError("beta must be 0 or 1")
-        _fill(self, j, alpha, int(beta))
-
-    @classmethod
-    def _trusted(cls, j, alpha, beta):
-        """The constructor's system, from fields of already validated
-        objects (alpha a 0/1 tuple, beta an int), without its checks."""
-        return _fill(object.__new__(cls), j, alpha, beta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("StarSystem is immutable")
-
-    def __reduce__(self):
-        return (StarSystem, (self.j, self.alpha, self.beta))
+        return super().__new__(cls, j, alpha, int(beta))
 
     def as_constellation(self) -> "Constellation":
-        return Constellation._trusted(self.j, (0,) * self.j.n, self.alpha,
-                                      (self.beta,))
+        return Constellation._make((self.j, (0,) * self.j.n, self.alpha,
+                                    (self.beta,)))
 
     def to_json_obj(self):
         return {"j": graph6.encode(self.j), "alpha": list(self.alpha),
@@ -140,13 +124,6 @@ class StarSystem:
 
     def canonical_key(self):
         return self.as_constellation().canonical_key()
-
-    def __eq__(self, other):
-        return (isinstance(other, StarSystem) and self.j == other.j
-                and self.alpha == other.alpha and self.beta == other.beta)
-
-    def __hash__(self):
-        return hash(("sys", self.j.rows, self.alpha, self.beta))
 
     def __repr__(self):
         return (f"StarSystem({graph6.encode(self.j)!r}, "
@@ -184,19 +161,21 @@ def _irreducible(rows, alpha, beta) -> bool:
 # ---------------------------------------------------------------------------
 # constellations
 
-class Constellation:
+class Constellation(namedtuple("Constellation", "j phi alpha beta")):
     """An (l, s)-constellation (J, phi, alpha, beta).
 
     phi maps each core vertex to a part (0-based; l = len(beta)), alpha
     gives crown attachments as in star systems, beta[i] the crown type
     of part i.  Fiber i induces the component system
     J_i = (J[phi^-1(i)], alpha restricted, beta[i]); the fiber size
-    bound s is contextual, exposed as the property `s`.
+    bound s is contextual, exposed as the property `s`.  The constructor
+    checks its fields; _make (and _replace, which goes through it) builds
+    from int tuples already checked.
     """
 
-    __slots__ = ("j", "phi", "alpha", "beta")
+    __slots__ = ()
 
-    def __init__(self, j: Graph, phi, alpha, beta):
+    def __new__(cls, j: Graph, phi, alpha, beta):
         if not isinstance(j, Graph):
             raise ValidationError("constellation needs a core graph")
         phi = tuple(int(i) for i in phi)
@@ -208,19 +187,7 @@ class Constellation:
             raise ValidationError("phi must map V(J) into the parts")
         if len(alpha) != j.n or any(a not in (0, 1) for a in alpha):
             raise ValidationError("alpha must map V(J) to {0,1}")
-        _fill(self, j, phi, alpha, beta)
-
-    @classmethod
-    def _trusted(cls, j, phi, alpha, beta):
-        """The constructor's constellation, from fields of already
-        validated objects (int tuples), without its checks."""
-        return _fill(object.__new__(cls), j, phi, alpha, beta)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Constellation is immutable")
-
-    def __reduce__(self):
-        return (Constellation, (self.j, self.phi, self.alpha, self.beta))
+        return super().__new__(cls, j, phi, alpha, beta)
 
     @property
     def l(self) -> int:
@@ -238,9 +205,9 @@ class Constellation:
 
     def system(self, i: int) -> StarSystem:
         vs = self.fiber(i)
-        return StarSystem._trusted(induced_subgraph(self.j, vs),
-                                   tuple(self.alpha[v] for v in vs),
-                                   self.beta[i])
+        return StarSystem._make((induced_subgraph(self.j, vs),
+                                 tuple(self.alpha[v] for v in vs),
+                                 self.beta[i]))
 
     def systems(self):
         return tuple(self.system(i) for i in range(self.l))
@@ -269,14 +236,6 @@ class Constellation:
         sizes = tuple(m.bit_count() for m in groups)
         return (self.j.n, self.l, sizes, cf.canon.rows)
 
-    def __eq__(self, other):
-        return (isinstance(other, Constellation) and self.j == other.j
-                and self.phi == other.phi and self.alpha == other.alpha
-                and self.beta == other.beta)
-
-    def __hash__(self):
-        return hash(("cons", self.j.rows, self.phi, self.alpha, self.beta))
-
     def __repr__(self):
         return (f"Constellation({graph6.encode(self.j)!r}, phi={list(self.phi)}, "
                 f"alpha={list(self.alpha)}, beta={list(self.beta)})")
@@ -290,25 +249,15 @@ def constellation_irreducible(c: Constellation) -> bool:
 # ---------------------------------------------------------------------------
 # templates
 
-class Template:
+class Template(namedtuple("Template", "psi parts")):
     """A verified embedding: psi maps core vertices into the host and
-    parts[i] lists the host vertices of X_i (core images included)."""
+    parts[i] lists the host vertices of X_i (core images included), both
+    tuples."""
 
-    __slots__ = ("psi", "parts")
-
-    def __init__(self, psi, parts):
-        object.__setattr__(self, "psi", tuple(psi))
-        object.__setattr__(self, "parts", tuple(tuple(p) for p in parts))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Template is immutable")
+    __slots__ = ()
 
     def to_json_obj(self):
         return {"psi": list(self.psi), "parts": [list(p) for p in self.parts]}
-
-    def __eq__(self, other):
-        return (isinstance(other, Template) and self.psi == other.psi
-                and self.parts == other.parts)
 
     def __repr__(self):
         return f"Template(psi={list(self.psi)}, parts={[list(p) for p in self.parts]})"
@@ -379,9 +328,9 @@ def find_template(g: Graph, c, budget_limit: int | None = None):
     if hit is None:
         return None
     pairs, crowns = hit
-    psi = [w for _, w in pairs]
-    parts = [tuple(bits(crowns[i] | mask_of(psi[v] for v in c.fiber(i))))
-             for i in range(c.l)]
+    psi = tuple(w for _, w in pairs)
+    parts = tuple(tuple(bits(crowns[i] | mask_of(psi[v] for v in c.fiber(i))))
+                  for i in range(c.l))
     t = Template(psi, parts)
     if not verify_template(g, c, t):
         raise RuntimeError("found template failed re-verification")
@@ -537,8 +486,8 @@ def verify_pj_certificate(g: Graph, c, cert) -> bool:
         parts[part_of[w]].append(w)
     for v in missing:
         parts[c.phi[v]].append(place[v])
-    t = Template([place[v] for v in range(k)],
-                 [tuple(sorted(p)) for p in parts])
+    t = Template(tuple(place[v] for v in range(k)),
+                 tuple(tuple(sorted(p)) for p in parts))
     if not verify_template(host, c, t):
         return False
     return induced_subgraph(host, range(n)) == g
@@ -602,7 +551,7 @@ def irreducible_star_systems(s: int) -> list[StarSystem]:
                     if _irreducible(j.rows, alpha, b):
                         out.append(((size, -b, -abits.bit_count(), j.rows,
                                      abits),
-                                    StarSystem._trusted(j, alpha, b)))
+                                    StarSystem._make((j, alpha, b))))
     out.sort(key=lambda ks: ks[0])
     return [sy for _, sy in out]
 
@@ -673,8 +622,8 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
                 u, v = pairs[b]
                 rows[u] |= 1 << v
                 rows[v] |= 1 << u
-            out.append(Constellation._trusted(Graph.from_rows(rows), phi,
-                                              alpha, beta))
+            out.append(Constellation._make((Graph.from_rows(rows), phi,
+                                            alpha, beta)))
     return out
 
 
@@ -704,27 +653,20 @@ def _gadget_form(jrows, phi, alpha, beta):
 # ---------------------------------------------------------------------------
 # minimal non-star scans
 
-class NonStarScanReport:
+class NonStarScanReport(namedtuple(
+        "NonStarScanReport", "s mode n_max seed samples scanned witnesses")):
     """Vertex-minimal non-s-stars found by a scan.
 
-    witnesses holds canonical graph6 strings; scanned is a list of
+    witnesses is a list of canonical graph6 strings; scanned is a list of
     (n, count) pairs so serialization order is fixed.  max_order is 0
     when the scan found nothing.
     """
 
-    __slots__ = ("s", "mode", "n_max", "seed", "samples", "scanned",
-                 "witnesses", "max_order")
+    __slots__ = ()
 
-    def __init__(self, s, mode, n_max, seed, samples, scanned, witnesses):
-        self.s = s
-        self.mode = mode
-        self.n_max = n_max
-        self.seed = seed
-        self.samples = samples
-        self.scanned = list(scanned)
-        self.witnesses = list(witnesses)
-        self.max_order = max((graph6.decode(w).n for w in self.witnesses),
-                             default=0)
+    @property
+    def max_order(self):
+        return max((graph6.decode(w).n for w in self.witnesses), default=0)
 
     def to_json_obj(self):
         obj = {"s": self.s, "mode": self.mode, "n_max": self.n_max,

@@ -14,6 +14,7 @@ only in reports.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 
 from .canon import vertex_orbit
@@ -43,7 +44,8 @@ from .enumeration import SpeedTable, enumerate_family
 # ---------------------------------------------------------------------------
 # coloring number
 
-class ColoringNumberResult:
+class ColoringNumberResult(namedtuple("ColoringNumberResult",
+                                     "l witness_s refutations")):
     """chi_c with its witness and the refutations one level up.
 
     witness_s: the s with H(witness_s, l - witness_s) contained in the
@@ -52,12 +54,7 @@ class ColoringNumberResult:
     inside H(s', l+1-s'), so no containment exists at level l+1.
     """
 
-    __slots__ = ("l", "witness_s", "refutations")
-
-    def __init__(self, l, witness_s, refutations):
-        self.l = l
-        self.witness_s = witness_s
-        self.refutations = tuple(refutations)
+    __slots__ = ()
 
     def to_json_obj(self):
         return {"chi_c": self.l if self.l != math.inf else "infinity",
@@ -109,7 +106,7 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
     while True:
         nxt = scan(l + 1)
         if not isinstance(nxt, int):
-            return ColoringNumberResult(l, witness_s, nxt)
+            return ColoringNumberResult(l, witness_s, tuple(nxt))
         l, witness_s = l + 1, nxt
         if l > bound:
             raise RuntimeError("chi_c scan exceeded its termination bound")
@@ -118,7 +115,8 @@ def coloring_number(f: Family, budget_limit: int | None = None) -> ColoringNumbe
 # ---------------------------------------------------------------------------
 # reduced vs dangerous
 
-class ReducedClassification:
+class ReducedClassification(namedtuple(
+        "ReducedClassification", "graph reduced witness_s violations")):
     """Verdict for one graph h against a family at level l.
 
     reduced: some s in [0, l-1] keeps every forbidden pattern out of
@@ -127,13 +125,7 @@ class ReducedClassification:
     certificate placing that pattern inside the product.
     """
 
-    __slots__ = ("graph", "reduced", "witness_s", "violations")
-
-    def __init__(self, graph, reduced, witness_s, violations):
-        self.graph = graph
-        self.reduced = reduced
-        self.witness_s = witness_s
-        self.violations = tuple(violations)
+    __slots__ = ()
 
     def __bool__(self):
         return self.reduced
@@ -167,7 +159,7 @@ def is_reduced(h: Graph, f: Family, l: int,
         if hit is None:
             return ReducedClassification(h, True, s, ())
         violations.append((s, hit[0], hit[1].certificate))
-    return ReducedClassification(h, False, None, violations)
+    return ReducedClassification(h, False, None, tuple(violations))
 
 
 class ReducedFamily(Family):
@@ -231,13 +223,9 @@ def enumerate_reduced(f: Family, l: int, n_max: int, *,
 # ---------------------------------------------------------------------------
 # apex-freeness
 
-class ApexFreeResult:
-    __slots__ = ("apex_free", "witnesses", "failed_s")
-
-    def __init__(self, apex_free, witnesses, failed_s):
-        self.apex_free = apex_free
-        self.witnesses = tuple(witnesses)
-        self.failed_s = failed_s
+class ApexFreeResult(namedtuple("ApexFreeResult",
+                               "apex_free witnesses failed_s")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.apex_free
@@ -271,10 +259,10 @@ def is_apex_free(f: Family, l: int,
                              for idx, k in enumerate(f.patterns)
                              for u in range(k.n)), budget_limit)
         if hit is None:
-            return ApexFreeResult(False, witnesses, s)
+            return ApexFreeResult(False, tuple(witnesses), s)
         (idx, u), res = hit
         witnesses.append((s, idx, u, res.certificate))
-    return ApexFreeResult(True, witnesses, None)
+    return ApexFreeResult(True, tuple(witnesses), None)
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +274,13 @@ def substar(j: int, i: int) -> Graph:
     return disjoint_union(star(j), edgeless(i))
 
 
-class MeagerResult:
+class MeagerResult(namedtuple(
+        "MeagerResult", "meager cap substar_witness antisubstar_witness")):
     """meager is True or None, never False: a finite scan can verify an
     exclusion but not that every substar lies inside the family, so the
     negative side stays an honest unknown at the given cap."""
 
-    __slots__ = ("meager", "cap", "substar_witness", "antisubstar_witness")
-
-    def __init__(self, meager, cap, substar_witness, antisubstar_witness):
-        self.meager = meager
-        self.cap = cap
-        self.substar_witness = substar_witness
-        self.antisubstar_witness = antisubstar_witness
+    __slots__ = ()
 
     def __repr__(self):
         tag = "meager" if self.meager else f"unknown(cap={self.cap})"
@@ -329,13 +312,9 @@ def is_meager(f: Family, cap: int = 8,
 # ---------------------------------------------------------------------------
 # extendability
 
-class ExtendableResult:
-    __slots__ = ("extendable", "failing", "n_check")
-
-    def __init__(self, extendable, failing, n_check):
-        self.extendable = extendable
-        self.failing = failing
-        self.n_check = n_check
+class ExtendableResult(namedtuple("ExtendableResult",
+                                 "extendable failing n_check")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.extendable
@@ -387,19 +366,18 @@ def _speed_step_ok(a: int, b: int, coef: Fraction) -> bool:
     return a ** q << -p >= b ** q
 
 
-class SmoothnessReport:
+class SmoothnessReport(namedtuple("SmoothnessReport",
+                                 "family_text l delta rows")):
     """Per-n truth of the speed growth inequality.  Finite-n evidence for
     an asymptotic predicate; it never claims smoothness itself."""
 
-    __slots__ = ("family_text", "l", "delta", "rows", "last_violation")
+    __slots__ = ()
 
-    def __init__(self, family_text, l, delta, rows):
-        self.family_text = family_text
-        self.l = l
-        self.delta = delta
-        self.rows = list(rows)
+    @property
+    def last_violation(self):
+        """The largest n whose row fails, or None."""
         bad = [n for n, ok in self.rows if not ok]
-        self.last_violation = bad[-1] if bad else None
+        return bad[-1] if bad else None
 
     def all_ok_from(self):
         """Smallest n0 with every row at n >= n0 true."""

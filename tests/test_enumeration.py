@@ -578,8 +578,20 @@ class TestCheckpoints:
 
 
 class TestSpeedDelta:
-    def test_family_against_itself_is_flat(self):
+    def test_family_against_itself_is_flat(self, monkeypatch):
+        # f = H(l, 0) is its own benchmark, so one enumeration serves both
+        # sides (its top level read off level 5, as _labeled_counts does)
+        from hfspeed import enumeration
+        calls = []
+        real = enumeration.enumerate_family
+
+        def spy(f, n_max, **kw):
+            calls.append((f.text(), n_max))
+            return real(f, n_max, **kw)
+
+        monkeypatch.setattr(enumeration, "enumerate_family", spy)
         rep = speed_delta(HST(2, 0), 2, 6)
+        assert calls == [("H(2, 0)", 5)]
         assert rep.delta == [0.0] * 7
         assert rep.k_fit == 0
         assert rep.drift == 0.0
@@ -589,6 +601,11 @@ class TestSpeedDelta:
         cooked = SpeedTable("synthetic", 8, bench.unlabeled,
                             [c * n ** 3 for n, c in enumerate(bench.labeled)])
         rep = speed_delta(HST(2, 0), 2, 8, table=cooked, bench=bench)
+        assert rep.k_fit == 3
+        assert rep.drift == pytest.approx(0.0, abs=1e-9)
+        # without bench, a given table is still compared against the
+        # real H(2, 0) counts, not against itself
+        rep = speed_delta(HST(2, 0), 2, 8, table=cooked)
         assert rep.k_fit == 3
         assert rep.drift == pytest.approx(0.0, abs=1e-9)
 

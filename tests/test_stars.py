@@ -545,7 +545,7 @@ class TestGeneration:
             assert got.to_json_obj() == pub.to_json_obj()
             assert got.__reduce__() == pub.__reduce__()
             assert pickle.loads(pickle.dumps(got)) == pub
-            for name in type(pub).__slots__:
+            for name in type(pub)._fields:
                 a, b = getattr(got, name), getattr(pub, name)
                 assert type(a) is type(b)
                 if isinstance(b, tuple):
