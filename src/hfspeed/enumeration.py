@@ -13,10 +13,11 @@ whose new vertex is not of maximum invariant can be rejected before any
 canonical computation.  The degree part of that filter is O(1) per subset
 via precomputed degree-threshold masks.
 
-Children read off the parent: forb(K3) and H(2, 0) list, from a member
-parent P alone, every neighbourhood of x that gives a member child (the
-independent sets of P; a subset of one side of each component of P), and
-only those are orbit-reduced and decided by the family's own engine.
+Children read off the parent: forb(K3), H(2, 0) and P(J) list, from a
+member parent P alone, every neighbourhood of x that gives a member child
+(the independent sets of P; a subset of one side of each component of P;
+the cubes of x's placements in P's templates, see PJFamily), and only
+those are orbit-reduced and decided by the family's own engine.
 Their labeled counts need no top level (_labeled_counts): a member on
 [n] minus vertex n - 1 is a member on [n - 1], so each class P of level
 n - 1 adds (n - 1)!/|Aut P| per child it lists.

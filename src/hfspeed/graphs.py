@@ -308,7 +308,7 @@ def _embed(prow, host: Graph, order, pin=None, budget=None, accept=None):
     return extend(1, 1 << pin)
 
 
-def _typed_parts(rows, beta, ok, cored, todo, budget):
+def _typed_parts(rows, beta, ok, cored, todo, budget, accept=None):
     """The one typed-part backtrack.
 
     Places the vertices of the mask todo, lowest bit first, into parts:
@@ -317,15 +317,18 @@ def _typed_parts(rows, beta, ok, cored, todo, budget):
     vertices in the mask ok[i].  Each vertex goes to the first part that
     takes it.  Empty parts outside the `cored` mask with equal beta are
     interchangeable, so only the first of each beta is tried.  One budget
-    node per recursion step.  Returns the part masks or None.
+    node per recursion step, none without a budget.  A complete split
+    goes to accept, whose first true answer ends the search; without
+    accept the first split does.  Returns the part masks or None.
     """
     l = len(beta)
     parts = [0] * l
 
     def rec(todo):
-        budget.spend()
+        if budget is not None:
+            budget.spend()
         if not todo:
-            return True
+            return accept is None or accept(parts)
         b = todo & -todo
         row = rows[b.bit_length() - 1]
         todo ^= b

@@ -340,7 +340,8 @@ def find_template(g: Graph, c, budget_limit: int | None = None):
 # ---------------------------------------------------------------------------
 # P(J) membership
 
-def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
+def _assign_crowns(g: Graph, c: Constellation, pairs, budget, accept=None,
+                   cored=0):
     """Crown masks, one per part, for the vertices of g outside the core
     images, or None.
 
@@ -348,14 +349,13 @@ def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
     core.  Only the vertices in ok[i], those meeting every embedded core
     vertex of fiber i as alpha says, may join part i; a vertex in no
     ok[i] rejects at once.  The rest is graphs._typed_parts: crowns typed
-    by beta, the parts holding a core image (`cored`) never treated as
-    interchangeable empties.
+    by beta, the parts holding a core image, or in the mask cored, never
+    treated as interchangeable empties; accept and budget pass through.
     """
     phi, alpha, beta = c.phi, c.alpha, c.beta
     l, grow = len(beta), g.rows
     rest = (1 << g.n) - 1
     ok = [rest] * l
-    cored = 0
     for v, w in pairs:
         i = phi[v]
         ok[i] &= grow[w] if alpha[v] else ~grow[w]
@@ -366,7 +366,7 @@ def _assign_crowns(g: Graph, c: Constellation, pairs, budget: Budget):
         any_ok |= m
     if rest & ~any_ok:
         return None
-    return _typed_parts(grow, beta, ok, cored, rest, budget)
+    return _typed_parts(grow, beta, ok, cored, rest, budget, accept)
 
 
 def _pj_search(g: Graph, c: Constellation, wsets, budget: Budget):
@@ -383,6 +383,12 @@ def _pj_search(g: Graph, c: Constellation, wsets, budget: Budget):
         if hit is not None:
             return hit
     return None
+
+
+def _core_subsets(k, n):
+    """Core subsets W with |W| <= n, by size, each size in lex order."""
+    return (wset for size in range(min(k, n) + 1)
+            for wset in combinations(range(k), size))
 
 
 def _pj_decide(g: Graph, c: Constellation, budget: Budget):
@@ -406,9 +412,7 @@ def _pj_decide(g: Graph, c: Constellation, budget: Budget):
             for w in res.certificate.parts[pos]:
                 part_of[w] = i
         return ("pj", (), tuple(part_of))
-    wsets = (wset for size in range(min(k, n) + 1)
-             for wset in combinations(range(k), size))
-    hit = _pj_search(g, c, wsets, budget)
+    hit = _pj_search(g, c, _core_subsets(k, n), budget)
     if hit is None:
         return None
     pairs, crowns = hit
@@ -508,7 +512,19 @@ _CONSTELLATION = _Kind(
 class PJFamily(Family):
     """P(J) as a family expression: hereditary by definition (induced
     subgraphs of hosts), usable by the enumerator.  The decision has no
-    incremental shortcut, so new_vertex_only is ignored."""
+    incremental shortcut, so new_vertex_only is ignored.
+
+    The children of a parent P are listed instead, from P's templates
+    (W, sigma, crowns), to which a child's template restricts (see
+    is_member_PJ).  The new vertex x joins part i, F = crown_i |
+    sigma(fiber i & W), or becomes sigma(v) for a core vertex v outside
+    W, F = sigma(W) | crown_phi(v); each placement allows the cube
+    {S : S & F == V}, V as beta, alpha and J say, other bits free.
+    Every template is walked, with no budget, until a cube with F = 0
+    allows every mask.  The parts phi(v) of the missing v count as
+    cored: x may become v there, so two empty parts of equal beta are
+    not interchangeable.  A P outside P(J) lists [].
+    """
 
     __slots__ = ("constellation",)
     _tag = "pj"
@@ -518,6 +534,45 @@ class PJFamily(Family):
     def _decide(self, g, budget, new_vertex_only):
         cert = _pj_decide(g, self.constellation, budget)
         return cert is not None, cert
+
+    def _member_children(self, rows):
+        c = self.constellation
+        jrows, phi, alpha, beta = c.j.rows, c.phi, c.alpha, c.beta
+        g = Graph.from_rows(rows)
+        cubes = set()
+        for wset in _core_subsets(c.j.n, g.n):
+            missing = [v for v in range(c.j.n) if v not in wset]
+
+            def embedded(eta, wset=wset, missing=missing):
+                img, on = [0] * c.l, [0] * c.l
+                for v in wset:
+                    img[phi[v]] |= 1 << eta[v]
+                    on[phi[v]] |= alpha[v] << eta[v]
+                core = sum(img)
+                nbrs = [mask_of(eta[u] for u in wset if jrows[v] >> u & 1)
+                        for v in missing]
+
+                def split(crowns):
+                    for i, cr in enumerate(crowns):
+                        cubes.add((cr | img[i], cr * beta[i] | on[i]))
+                    for v, nb in zip(missing, nbrs):
+                        cr = crowns[phi[v]]
+                        cubes.add((core | cr, nb | cr * alpha[v]))
+                    return (0, 0) in cubes  # every mask: done
+
+                return _assign_crowns(g, c, [(v, eta[v]) for v in wset],
+                                      None, split,
+                                      mask_of(phi[v] for v in missing))
+
+            if _embed(jrows, g, wset, accept=embedded) is not None:
+                break
+        hit = 0  # bit S set for each mask S in a cube
+        for f, v in cubes:
+            m = 1 << v
+            for b in bits(g.full_mask() & ~f):
+                m |= m << (1 << b)
+            hit |= m
+        return [s for s in range(1 << g.n) if hit >> s & 1]
 
 
 # ---------------------------------------------------------------------------

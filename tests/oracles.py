@@ -19,6 +19,7 @@ from hfspeed.families import (
 )
 from hfspeed.errors import ValidationError
 from hfspeed.graphs import Graph, add_vertex, complement, induced_subgraph
+from hfspeed.stars import PJFamily
 
 
 def all_labeled_graphs(n):
@@ -127,6 +128,8 @@ def naive_member(g, fam):
         return naive_member(g, fam.left) or naive_member(g, fam.right)
     if isinstance(fam, IntersectionFam):
         return naive_member(g, fam.left) and naive_member(g, fam.right)
+    if isinstance(fam, PJFamily):
+        return _naive_pj(g, fam.constellation)
     raise TypeError(f"no naive rule for {type(fam).__name__}")
 
 
@@ -140,6 +143,34 @@ def _homog(g, part, kind):
             if kind == "clique" and not edge:
                 return False
     return True
+
+
+def _naive_pj(g, c):
+    """A template restricted to g: some W of core vertices with an induced
+    copy of J[W] in g, and a part for every other vertex, such that each
+    copied core vertex v meets the vertices of part phi(v) all or none as
+    alpha(v) says, and each part is a clique (beta 1) or independent
+    (beta 0).  The missing core vertices can always be added back, so this
+    is P(J) membership."""
+    n, k, l = g.n, c.j.n, c.l
+    kinds = ["clique" if b else "independent" for b in c.beta]
+    for size in range(min(k, n) + 1):
+        for w in combinations(range(k), size):
+            for img in permutations(range(n), size):
+                pairs = list(zip(w, img))
+                if any(c.j.rows[a] >> b & 1 != g.rows[x] >> y & 1
+                       for (a, x), (b, y) in combinations(pairs, 2)):
+                    continue
+                rest = [x for x in range(n) if x not in img]
+                for assign in product(range(l), repeat=len(rest)):
+                    parts = [[x for x, i in zip(rest, assign) if i == p]
+                             for p in range(l)]
+                    if (all(_homog(g, parts[p], kinds[p]) for p in range(l))
+                            and all(g.rows[x] >> y & 1 == c.alpha[v]
+                                    for v, x in pairs
+                                    for y in parts[c.phi[v]])):
+                        return True
+    return False
 
 
 def _naive_partition(g, slots, check):

@@ -1,7 +1,7 @@
 """The augmentation step against references that decide every child.
 
-_child_records takes the children of forb(K3) and H(2, 0) from the masks
-the family reads off the parent (Family._member_children), and for Forb
+_child_records takes the children of forb(K3), H(2, 0) and P(J) from the
+masks the family reads off the parent (Family._member_children), and for Forb
 skips a child when an earlier rejected sibling's witness set W of parent
 vertices already decides it; these tests check that the masks are exact,
 that the skips change nothing (the records equal those of a loop that
@@ -17,14 +17,14 @@ import random
 import pytest
 
 import hfspeed.enumeration as enumeration
-from hfspeed.critical import verify_kpr
+from hfspeed.critical import verify_kpr, verify_star_speed
 from hfspeed.enumeration import _child_records, enumerate_family
-from hfspeed.families import AtomC, AtomM, Forb, HST, PartitionProduct
+from hfspeed.families import ALL, AtomC, AtomM, Forb, HST, PartitionProduct
 from hfspeed.graph6 import decode
 from hfspeed.graphs import (
     Graph, add_vertex, complete, cycle, induced_subgraph, matching,
 )
-from hfspeed.stars import Constellation, PJFamily
+from hfspeed.stars import Constellation, PJFamily, is_member_PJ
 from hfspeed.structure import ReducedFamily
 from oracles import (
     all_reps_child_records, double_count_labeled, naive_member,
@@ -37,12 +37,26 @@ FORB_K4 = Forb([complete(4)])
 FORB_C4_2K2 = Forb([cycle(4), matching(2)])
 
 
+def _pj(spec):
+    g6, *fields = spec.split(";")
+    return PJFamily(Constellation(decode(g6), *(
+        tuple(map(int, x)) for x in fields)))
+
+
+# a two-vertex core; DOM; one-vertex cores whose second part has no core
+# vertex, so a missing core vertex alone tells two empty parts apart; a
+# three-part core; the empty core
+PJ_LISTED = [_pj(x) for x in ("A?;01;11;00", "@;0;1;0", "@;1;1;00",
+                              "@;1;0;11", "@;2;0;110", "?;;;01")]
+
+
 @functools.lru_cache(maxsize=None)
 def _table8(fam):
     return enumerate_family(fam, 8)
 
 
-@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2],
+@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2,
+                                 _pj("A?;01;11;00"), _pj("@;1;1;00")],
                          ids=lambda f: f.text())
 def test_child_records_equal_deciding_every_rep(fam):
     empty = Graph(0)
@@ -53,7 +67,8 @@ def test_child_records_equal_deciding_every_rep(fam):
         level = sorted(want, key=lambda r: r[0])
 
 
-@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2],
+@pytest.mark.parametrize("fam", SIX + [FORB_C5, FORB_K4, FORB_C4_2K2,
+                                 _pj("A?;01;11;00"), _pj("@;1;1;00")],
                          ids=lambda f: f.text())
 def test_counted_records_equal_deciding_every_rep(fam):
     # a counted level takes |Aut| of a child whose new vertex alone has
@@ -109,6 +124,30 @@ def test_member_children_are_exact(fam):
         assert fam._member_children(parent.rows) == [], parent
 
 
+@pytest.mark.parametrize("fam", PJ_LISTED, ids=lambda f: f.text())
+def test_pj_member_children_are_exact(fam):
+    # every class to n = 6 against all 2^n masks, decided by is_member_PJ;
+    # parents to n = 4 against the naive definition chase
+    table = enumerate_family(ALL, 6)
+    c = fam.constellation
+    outside = 0
+    for n in range(7):
+        for parent in table.members[n]:
+            got = fam._member_children(parent.rows)
+            if not is_member_PJ(parent, c).member:
+                assert got == [], parent
+                outside += 1
+                continue
+            assert got == [s for s in range(1 << n)
+                           if is_member_PJ(add_vertex(parent, s), c).member
+                           ], parent
+            if n <= 4:
+                assert got == [s for s in range(1 << n)
+                               if naive_member(add_vertex(parent, s), fam)
+                               ], parent
+    assert outside > 0
+
+
 @pytest.mark.parametrize("fam", [
     FORB_K4, FORB_C5, FORB_C4_2K2, Forb([complete(3), cycle(5)]), HST(3, 0),
     HST(1, 1), PartitionProduct((AtomM(), AtomC())),
@@ -145,6 +184,23 @@ def test_kpr_top_level_makes_no_rejected_call(monkeypatch):
     report = verify_kpr(2, 8)
     assert report.rows[-1]["covered"] == "2922446"
     assert rejected and not [r for r in rejected if r[1] == 8]
+
+
+def test_star_speed_makes_no_rejected_call(monkeypatch):
+    # P(J) lists its member children: no child is rejected, and the top
+    # level is read off its parents, so no graph of order 7 is decided
+    rejected = _rejected_calls(monkeypatch)
+    orders = []
+    decide = enumeration._membership
+
+    def spy(family, g, *args):
+        orders.append(g.n)
+        return decide(family, g, *args)
+    monkeypatch.setattr(enumeration, "_membership", spy)
+    report = verify_star_speed(_pj("A?;01;11;00").constellation, 2, 7)
+    assert report.rows[-1]["labeled"] == "1010668"
+    assert rejected == []
+    assert orders and max(orders) == 6
 
 
 def test_kpr_tally_reads_the_within_masks(monkeypatch):

@@ -302,21 +302,24 @@ class TestVerifyKpr:
 
 class TestLabeledCounts:
     # _labeled_counts against a whole enumeration, on the listed route
-    # (forb(K3), H(2, 0)) and the unlisted one
+    # (forb(K3), H(2, 0), P(J)) and the unlisted one
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("f, within", [(FORB_K3, HST(2, 0)),
-                                           (HST(2, 0), None)])
+    @pytest.mark.parametrize("f, within", [
+        (FORB_K3, HST(2, 0)), (HST(2, 0), None),
+        (PJFamily(Constellation(edgeless(2), (0, 1), (1, 1), (0, 0))),
+         None)])
     def test_listed_route(self, f, within, threads):
-        t = enumerate_family(f, 9, threads=threads, keep_members=False,
+        # a counted level 9 of P(J) decides its children for seconds
+        n_max = 7 if isinstance(f, PJFamily) else 9
+        t = enumerate_family(f, n_max, threads=threads, keep_members=False,
                              within=within)
-        got = _labeled_counts(f, 9, None, threads, within)
+        got = _labeled_counts(f, n_max, None, threads, within)
         assert got == (t.labeled, t.within_labeled)
 
     @pytest.mark.parametrize("f, within, n_max", [
         (Forb([complete(4)]), HST(3, 0), 7),
-        (PJFamily(Constellation(edgeless(2), (0, 1), (1, 1), (0, 0))),
-         None, 6)])
+        (PartitionProduct((M, C)), None, 6)])
     def test_unlisted_route(self, f, within, n_max):
         assert f._member_children(()) is None
         t = enumerate_family(f, n_max, keep_members=False, within=within)
@@ -517,6 +520,19 @@ class TestVerifyStarSpeed:
         assert seen[1:] == ["H(1, 1)", "H(2, 0)"]
         want = enumerate_family(PJFamily(split), 6).labeled
         assert [row["labeled"] for row in r.rows] == [str(x) for x in want[1:]]
+
+    def test_listing_spends_no_budget(self):
+        # 200 nodes decide every child to order 6, not every child of order
+        # 7; the top level is listed, so no order-7 child is decided
+        two = Constellation(edgeless(2), (0, 1), (1, 1), (0, 0))
+        r = verify_star_speed(two, 2, 7, budget_limit=200)
+        assert r.to_json_obj() == verify_star_speed(two, 2, 7).to_json_obj()
+        # a budget too tight for an order-6 child is refused at its call
+        with pytest.raises(ResourceLimitError) as info:
+            verify_star_speed(two, 2, 7, budget_limit=159)
+        assert str(info.value) == ("pj(A?;01;11;00) at level 6, graph EB^_: "
+                                   "membership search exceeded node budget "
+                                   "159")
 
     def test_residual_at_one(self):
         r = verify_star_speed(DOM, 1, 6)
