@@ -3,8 +3,9 @@
 Everything here reduces an "for all graphs" definition to a finite battery
 of membership tests: the coloring number via forbidden-pattern checks
 against H(s, t), reduced/dangerous classification via partition products
-anchored at a concrete graph, apex-freeness via a derived finite witness
-rule, and the small predicate zoo (meager, extendable, smooth, balanced).
+anchored at a concrete graph (certified) or forbidden patterns derived
+from the family, apex-freeness via a derived finite witness rule, and
+the small predicate zoo (meager, extendable, smooth, balanced).
 
 Comparisons that feed verdicts are exact: integer powers for the smooth
 inequality, cross-multiplied fractions for balancedness.  Floats appear
@@ -13,11 +14,12 @@ only in reports.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .canon import vertex_orbit
+from .canon import canonical_graph, vertex_orbit
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import (
     AtomAll,
@@ -35,8 +37,8 @@ from .families import (
     _membership,
 )
 from .graphs import (
-    Graph, add_vertex, complement, delete_vertex, disjoint_union, edgeless,
-    star,
+    Graph, _typed_parts, add_vertex, bits, complement, delete_vertex,
+    disjoint_union, edgeless, induced_subgraph, star,
 )
 from .enumeration import SpeedTable, enumerate_family
 
@@ -165,13 +167,13 @@ def is_reduced(h: Graph, f: Family, l: int,
 class ReducedFamily(Family):
     """red(f): the reduced graphs of f, as an enumerable family.
 
-    Heredity is a theorem about red(f), not a construction, so the
-    enumerator takes it on trust here; enumerate_reduced re-verifies it on
-    every emitted member.  The text omits l; the key, and so the
-    checkpoint name, keeps it.
+    red(f) is the union over s of forb(Q_s) (see _minimal_parts), so it
+    is hereditary by construction.  Each Q_s is computed once per bound
+    on its graphs' order, never pickled or keyed.  The text omits l; the
+    key, and so the checkpoint name, keeps it.
     """
 
-    __slots__ = ("base", "l")
+    __slots__ = ("base", "l", "_obstructions")
     _tag = "red"
     _kinds = (_FAMILY, _POS)
     hereditary = True
@@ -183,14 +185,52 @@ class ReducedFamily(Family):
     def text(self):
         return f"red({self.base.text()})"
 
+    def _forbs(self, n):
+        """forb(Q_s), or ALL for an empty Q_s, for each s admitting a graph,
+        from the parts on at most min(n, largest pattern order) vertices."""
+        m = min(n, max(p.n for p in self.base.patterns))
+        if getattr(self, "_obstructions", None) is None:
+            object.__setattr__(self, "_obstructions", {})
+        if m not in self._obstructions:
+            qs = [_minimal_parts(self.base.patterns, s, self.l - 1 - s, m)
+                  for s in range(self.l)]
+            # K0 sorts first, and an s with K0 in Q_s admits no graph
+            self._obstructions[m] = [Forb(q) if q else AtomAll()
+                                     for q in qs if not q or q[0].n]
+        return self._obstructions[m]
+
     def _decide(self, g, budget, new_vertex_only):
-        # the reduced predicate has no one-vertex shortcut; always full
-        for s in range(self.l):
-            prod = reduced_product(g, s, self.l - 1)
-            if not any(prod.membership(k, budget).member
-                       for k in self.base.patterns):
-                return True, None
-        return False, None
+        # full checks: g minus its new vertex may pass under another s
+        return any(forb.membership(g, budget).member
+                   for forb in self._forbs(g.n)), None
+
+
+def _minimal_parts(patterns, s, t, m):
+    """Q_s: k[A] up to isomorphism, by order, for each pattern k and each
+    A on at most m vertices minimal with k - A in H(s, t).  iota(h) is
+    closed under induced subgraphs and H(s, t) is hereditary, so k is in
+    P(iota(h), H(s, t)) iff some k[A] embeds in h (K0 if k is in H(s, t)).
+    Vertices go in label order to the kept set while it stays in H(s, t),
+    or to A while each a in A stays needed (k - A + a outside H(s, t)):
+    both tests are monotone, so the leaves are exactly the minimal A."""
+    beta = (0,) * s + (1,) * t
+    q = set()
+    for k in patterns:
+        full, cuts = k.full_mask(), [0]
+        inside = functools.cache(lambda x: _typed_parts(
+            k.rows, beta, [full] * (s + t), 0, x, None) is not None)
+        for v in range(k.n):
+            b, nxt = 1 << v, []
+            for cut in cuts:
+                if inside((2 * b - 1) & ~cut):
+                    nxt.append(cut)
+                cut |= b
+                if cut.bit_count() <= m and not any(
+                        inside(full & ~cut | 1 << a) for a in bits(cut)):
+                    nxt.append(cut)
+            cuts = nxt
+        q |= {canonical_graph(induced_subgraph(k, bits(a))) for a in cuts}
+    return sorted(q, key=lambda h: (h.n, h.rows))
 
 
 def enumerate_reduced(f: Family, l: int, n_max: int, *,
@@ -199,9 +239,9 @@ def enumerate_reduced(f: Family, l: int, n_max: int, *,
     """Exhaustive enumeration of red(f) up to n_max vertices, members kept.
 
     Every emitted member has its one-vertex-deleted subgraphs re-checked
-    as reduced, one deletion per Aut orbit of vertices: deletions in one
-    orbit give isomorphic graphs.  A violation would invalidate the
-    augmentation scheme itself, so it raises.
+    by is_reduced, one deletion per Aut orbit of vertices (deletions in
+    one orbit give isomorphic graphs): a cross-check of ReducedFamily's
+    patterns against the products, whose violation raises.
     """
     fam = ReducedFamily(f, l)
     table = enumerate_family(fam, n_max, budget_limit=budget_limit,

@@ -20,6 +20,7 @@ from hfspeed.families import (
 from hfspeed.errors import ValidationError
 from hfspeed.graphs import Graph, add_vertex, complement, induced_subgraph
 from hfspeed.stars import PJFamily
+from hfspeed.structure import ReducedFamily
 
 
 def all_labeled_graphs(n):
@@ -130,6 +131,10 @@ def naive_member(g, fam):
         return naive_member(g, fam.left) and naive_member(g, fam.right)
     if isinstance(fam, PJFamily):
         return _naive_pj(g, fam.constellation)
+    if isinstance(fam, ReducedFamily):
+        return any(not any(_naive_in_reduced_product(k, g, s, fam.l - 1 - s)
+                           for k in fam.base.patterns)
+                   for s in range(fam.l))
     raise TypeError(f"no naive rule for {type(fam).__name__}")
 
 
@@ -171,6 +176,16 @@ def _naive_pj(g, c):
                                     for y in parts[c.phi[v]])):
                         return True
     return False
+
+
+def _naive_in_reduced_product(k, h, s, t):
+    """k in P(iota(h), H(s, t)): some assignment of k's vertices to s
+    independent parts, t clique parts and one part inducing a graph that
+    embeds in h (checked last, as it is the dearest)."""
+    return _naive_partition(
+        k, ["independent"] * s + ["clique"] * t + ["iota"],
+        lambda part, kind: (brute_embeds_induced(induced_subgraph(k, part), h)
+                            if kind == "iota" else _homog(k, part, kind)))
 
 
 def _naive_partition(g, slots, check):

@@ -80,6 +80,29 @@ class TestKnownSequences:
         assert t.unlabeled == ALL_UNLABELED[:7]
         assert t.labeled == [2 ** math.comb(n, 2) for n in range(7)]
 
+    @pytest.mark.parametrize("pattern,l", [
+        (cycle(40), 1), (cycle(40), 2), (cycle(40), 3), (path(35), 3),
+        (complete(30), 3), (cycle(21), 3),
+    ], ids=["C40-1", "C40-2", "C40-3", "P35-3", "K30-3", "C21-3"])
+    def test_large_pattern_reduced(self, pattern, l):
+        # red's obstruction walk only builds parts A with |A| at most the
+        # graph's order, and cuts a vertex only while every cut vertex is
+        # still needed; without either bound these run for minutes, so
+        # the walk must finish inside 20 s (each takes under 1 s)
+        def expire(signum, frame):
+            raise TimeoutError("red(forb(...)) ran past 20 s")
+
+        old = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 20)
+        try:
+            t = enumerate_family(ReducedFamily(Forb([pattern]), l), 6,
+                                 keep_members=False)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, old)
+        assert t.unlabeled == ALL_UNLABELED[:7]
+        assert t.labeled == [2 ** math.comb(n, 2) for n in range(7)]
+
 
 class TestTwoRoutesAgree:
     # the augmentation count and the direct 2^C(n,2) scan share only the

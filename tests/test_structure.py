@@ -1,9 +1,11 @@
+import hashlib
 import pickle
+import random
 
 import pytest
 
 from hfspeed.canon import canonical_graph
-from hfspeed.enumeration import enumerate_family, SpeedTable
+from hfspeed.enumeration import FORMAT_VERSION, enumerate_family, SpeedTable
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
     ValidationError,
@@ -12,15 +14,15 @@ from hfspeed.families import (
     ALL, C, Forb, HST, Iota, M, PartitionProduct, S, family_contains,
 )
 from hfspeed.graphs import (
-    complement, complete, cycle, delete_vertex, edgeless, matching, path,
-    star,
+    complement, complete, cycle, delete_vertex, disjoint_union, edgeless,
+    matching, path, relabel, star,
 )
 from hfspeed.structure import (
     ApexFreeResult, ColoringNumberResult, MeagerResult,
     ReducedClassification, ReducedFamily,
     coloring_number, enumerate_reduced, is_apex_free, is_balanced,
     is_extendable_upto, is_meager, is_reduced, reduced_product,
-    smoothness_report, substar,
+    _minimal_parts, smoothness_report, substar,
 )
 from oracles import all_labeled_graphs, naive_member, verify_partition_certificate
 
@@ -239,6 +241,115 @@ class TestEnumerateReduced:
         assert back == fam and back.contains(complete(3))
         with pytest.raises(ValidationError):
             ReducedFamily(HST(2, 0), 2)
+
+
+class TestReducedObstructions:
+    # ReducedFamily decides through forb(Q_s) per s, Q_s the minimal
+    # iota parts of the patterns; is_reduced keeps the product route
+
+    @staticmethod
+    def obstructions(f, l, s):
+        return set(_minimal_parts(f.patterns, s, l - 1 - s, 16))
+
+    def test_hand_derived_obstructions(self):
+        def canon(*gs):
+            return {canonical_graph(g) for g in gs}
+
+        k3, c5, k13 = Forb([complete(3)]), Forb([cycle(5)]), Forb([star(3)])
+        # K3 lies in H(0, 1), so s = 0 admits nothing; K3 minus two
+        # vertices is independent
+        assert self.obstructions(k3, 2, 0) == {edgeless(0)}
+        assert self.obstructions(k3, 2, 1) == canon(complete(2))
+        forbs = ReducedFamily(k3, 2)._forbs(9)
+        assert [fb.patterns for fb in forbs] == [(complete(2),)]
+        # C5 minus a P3 is an edge; C5 minus K2 + K1 is independent
+        assert self.obstructions(c5, 2, 0) == canon(path(3))
+        assert self.obstructions(c5, 2, 1) == canon(
+            disjoint_union(complete(2), complete(1)))
+        # the claw minus two leaves is an edge; minus its centre or its
+        # three leaves it is independent
+        assert self.obstructions(k13, 2, 0) == canon(edgeless(2))
+        assert self.obstructions(k13, 2, 1) == canon(complete(1), edgeless(3))
+        t = enumerate_family(ReducedFamily(c5, 2), 7)
+        assert t.unlabeled == [1, 1, 2, 4, 8, 12, 20, 28]
+
+    @pytest.mark.parametrize("f", [
+        Forb([complete(3)]), Forb([matching(2)]), Forb([cycle(5)]),
+        Forb([star(3)]), Forb([cycle(4), matching(2)]), Forb([path(4)]),
+        Forb([edgeless(0)]),
+    ], ids=lambda f: f.text())
+    def test_level_one_decides_as_f(self, f):
+        # H(0, 0) holds only K0, so the one minimal A is all of k
+        assert self.obstructions(f, 1, 0) == {canonical_graph(k)
+                                              for k in f.patterns}
+        red = ReducedFamily(f, 1)
+        for n in range(6):
+            for g in all_labeled_graphs(n):
+                assert red.contains(g) == f.contains(g)
+
+    def test_membership_builds_no_product_or_iota(self, monkeypatch):
+        from hfspeed.families import Family
+        made = []
+
+        def spy(self, *args):
+            made.append(type(self).__name__)
+            Family.__init__(self, *args)
+
+        monkeypatch.setattr(PartitionProduct, "__init__", spy)
+        monkeypatch.setattr(Iota, "__init__", spy)
+        fam = ReducedFamily(Forb([cycle(5)]), 2)
+        assert enumerate_family(fam, 6).unlabeled == [1, 1, 2, 4, 8, 12, 20]
+        assert fam.contains(cycle(5)) is False
+        assert made == []
+
+    def test_filled_cache_is_not_pickled_or_keyed(self):
+        def stem(f):
+            ident = repr((FORMAT_VERSION, f.key()))
+            return hashlib.sha256(ident.encode()).hexdigest()[:16]
+
+        used = ReducedFamily(Forb([cycle(5)]), 2)
+        enumerate_family(used, 6)
+        assert used._obstructions
+        fresh = ReducedFamily(Forb([cycle(5)]), 2)
+        assert pickle.dumps(used) == pickle.dumps(fresh)
+        assert used.key() == fresh.key() and stem(used) == stem(fresh)
+        assert used == fresh and hash(used) == hash(fresh)
+        back = pickle.loads(pickle.dumps(used))
+        assert getattr(back, "_obstructions", None) is None
+
+    def test_tables_equal_at_one_and_two_threads(self):
+        one = enumerate_reduced(Forb([cycle(5)]), 2, 8)
+        two = enumerate_reduced(Forb([cycle(5)]), 2, 8, threads=2)
+        assert one.to_csv() == two.to_csv()
+        assert one.members == two.members and one.gens == two.gens
+
+
+def _reduced_cases():
+    return [Forb([complete(3)]), Forb([matching(2)]), Forb([cycle(4)]),
+            Forb([cycle(5)]), Forb([star(3)]), Forb([complete(4)]),
+            Forb([cycle(4), matching(2)]), Forb([path(4)]),
+            Forb([edgeless(0)])]
+
+
+@pytest.mark.parametrize("f", _reduced_cases(), ids=lambda f: f.text())
+def test_reduced_family_against_oracle_and_products(f):
+    # every class of ALL to n = 6 and one seeded relabelled copy of each:
+    # the obstruction route, the partition-product route and the
+    # definition agree at l = 1, 2, 3
+    rng = random.Random(2028)
+    graphs = []
+    for level in enumerate_family(ALL, 6).members:
+        for g in level:
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append((g, relabel(g, perm)))
+    for l in (1, 2, 3):
+        fam = ReducedFamily(f, l)
+        for g, copy in graphs:
+            want = naive_member(g, fam)
+            for h in (g, copy):
+                assert fam.membership(h).member == want, (l, h)
+                assert is_reduced(h, f, l).reduced == want, (l, h)
 
 
 class TestApexFree:
