@@ -237,12 +237,14 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     (enumerate_family's `within`).  Every l-colourable graph is
     K_{l+1}-free, so the classes of H(l, 0) are exactly the l-colourable
     classes of forb(K_{l+1}), and each adds n!/|Aut| to both labeled
-    counts.  At l = 2 the top level is read off the classes below
-    (_labeled_counts), with no membership call to refuse.  At l = 3 it is
-    only counted and its children are tested for colourability on their
-    own labels, in the pool workers when threads > 1; under a tight
-    budget_limit that level may be refused where a test on canonical
-    labels would pass, or the other way round.
+    counts.  At l = 2 both families list their member children: no
+    child of forb(K3) is decided by a membership call (only the H(2, 0)
+    tally of each class below the top spends a node), and the top level
+    is read off the classes below (_labeled_counts).  At l = 3 the top
+    level is only counted and its children are tested for colourability
+    on their own labels, in the pool workers when threads > 1; under a
+    tight budget_limit that level may be refused where a test on
+    canonical labels would pass, or the other way round.
     The asymptotic claim this probes says the fraction tends to 1, and
     the trend verdict honestly reports whether the last value beats the
     one three orders earlier, which at desk scale it may not.
@@ -401,8 +403,9 @@ def verify_star_speed(sys, l: int, n_max: int, *, n_min: int | None = None,
         raise ValidationError("the drift window needs at least two orders")
     start = time.perf_counter()
     k = c.j.n
-    # P(J) with an empty core is H(#0s, #1s) over beta
-    fam = HST(c.beta.count(0), c.beta.count(1)) if k == 0 else PJFamily(c)
+    # P(J) with an empty core and beta all 0 is the benchmark H(l, 0), so
+    # one enumeration serves both sides; any other P(J) lists its children
+    fam = HST(l, 0) if k == 0 and not any(c.beta) else PJFamily(c)
     tp = _labeled_counts(fam, n_max, budget_limit, threads)[0]
     tb = _bench_counts(fam, l, n_max, budget_limit, threads, tp)
     rows = []

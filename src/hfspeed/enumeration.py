@@ -16,8 +16,9 @@ via precomputed degree-threshold masks.
 Children read off the parent: forb(K3), H(2, 0) and P(J) list, from a
 member parent P alone, every neighbourhood of x that gives a member child
 (the independent sets of P; a subset of one side of each component of P;
-the cubes of x's placements in P's templates, see PJFamily), and only
-those are orbit-reduced and decided by the family's own engine.
+the cubes of x's placements in P's templates, see PJFamily).  The list
+is the verdict: a listed child is only orbit-reduced and checked for
+canonicity, with no membership call, no no-good and no budget spent.
 Their labeled counts need no top level (_labeled_counts): a member on
 [n] minus vertex n - 1 is a member on [n - 1], so each class P of level
 n - 1 adds (n - 1)!/|Aut P| per child it lists.
@@ -44,10 +45,11 @@ family, `within` and the budget passed with each: one chunk in process,
 about 4 x workers chunks on a pool of min(threads, CPUs) processes when
 the level below has more than one member.  Records are merged sorted.
 
-Labeled counts are exact: sum over classes of n!/|Aut|.  All decisions come
-from the family's own membership engine, so enumeration and the direct
-labeled scan (labeled_count_direct) agree only if both are right; tests
-exploit that.
+Labeled counts are exact: sum over classes of n!/|Aut|.  Each child is
+decided once, by the family's list or else by its membership engine, and
+the direct labeled scan (labeled_count_direct) decides every graph by the
+engine, so the two routes agree only if both are right; tests exploit
+that.
 """
 
 from __future__ import annotations
@@ -160,9 +162,9 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
         for v, d in enumerate(degs):
             for t in range(d + 1):
                 deg_mask[t] |= 1 << v
-        cands = family._member_children(rows)
+        listed = family._member_children(rows)
         survivors = []
-        for sub in range(1 << n) if cands is None else sorted(cands):
+        for sub in range(1 << n) if listed is None else sorted(listed):
             t = sub.bit_count()
             # new vertex needs the maximum degree in the child
             if t >= maxdeg and not sub & deg_mask[t]:
@@ -176,12 +178,13 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
                                for w, traces in nogoods.items()):
                 continue
             child = add_vertex(parent, sub)
-            res = _membership(family, child, budget_limit, True)
-            if not res.member:
-                w = family._rejection_support(child, res)
-                if w is not None:
-                    nogoods.setdefault(w, set()).add(sub & w)
-                continue
+            if listed is None:
+                res = _membership(family, child, budget_limit, True)
+                if not res.member:
+                    w = family._rejection_support(child, res)
+                    if w is not None:
+                        nogoods.setdefault(w, set()).add(sub & w)
+                    continue
             inv = vertex_invariant(child)
             vmax = max(inv)
             if inv[n] != vmax:
@@ -294,9 +297,10 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     A `within` family is tallied alongside: within_labeled[n] counts the
     members on [n] that lie in it, each class tested once on a fresh
     budget (a counted top level tests its children on their own labels).
-    An exhausted membership budget raises ResourceLimitError naming the
-    family (f or within), the level and the graph being decided; so does
-    a pool worker that dies, naming f and the level.
+    A budget is spent per decided graph, so a child that f lists spends
+    none.  An exhausted membership budget raises ResourceLimitError naming
+    the family (f or within), the level and the graph being decided; so
+    does a pool worker that dies, naming f and the level.
     """
     if not f.hereditary:
         raise UnsupportedOperationError(

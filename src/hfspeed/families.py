@@ -241,7 +241,9 @@ class Family:
         """Every mask s with add_vertex(P, s) in the family, for the graph P
         with these rows ([] when P is outside it), or None when the
         constructor does not read them off P; its answer on the empty
-        graph () tells whether it does."""
+        graph () tells whether it does.  The enumerator takes a listed
+        child as a member with no membership call, so the list must be
+        exact."""
         return None
 
     def membership(self, g: Graph, budget: Budget | None = None,

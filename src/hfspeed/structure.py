@@ -19,7 +19,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .canon import canonical_graph, vertex_orbit
+from .canon import canonical_graph
 from .errors import CapacityError, UnsupportedOperationError, ValidationError
 from .families import (
     AtomAll,
@@ -229,35 +229,21 @@ def _minimal_parts(patterns, s, t, m):
                         inside(full & ~cut | 1 << a) for a in bits(cut)):
                     nxt.append(cut)
             cuts = nxt
-        q |= {canonical_graph(induced_subgraph(k, bits(a))) for a in cuts}
+        # isomorphic parts often induce the same rows: canonicalise once
+        q |= {canonical_graph(h)
+              for h in {induced_subgraph(k, bits(a)) for a in cuts}}
     return sorted(q, key=lambda h: (h.n, h.rows))
 
 
 def enumerate_reduced(f: Family, l: int, n_max: int, *,
                       budget_limit: int | None = None,
                       threads: int = 1) -> SpeedTable:
-    """Exhaustive enumeration of red(f) up to n_max vertices, members kept.
-
-    Every emitted member has its one-vertex-deleted subgraphs re-checked
-    by is_reduced, one deletion per Aut orbit of vertices (deletions in
-    one orbit give isomorphic graphs): a cross-check of ReducedFamily's
-    patterns against the products, whose violation raises.
-    """
-    fam = ReducedFamily(f, l)
-    table = enumerate_family(fam, n_max, budget_limit=budget_limit,
-                             threads=threads)
-    for n in range(1, n_max + 1):
-        for g, gens in zip(table.members[n], table.gens[n]):
-            left = (1 << n) - 1
-            while left:
-                v = (left & -left).bit_length() - 1
-                left &= ~vertex_orbit(v, gens, n)
-                if not is_reduced(delete_vertex(g, v), f, l,
-                                  budget_limit).reduced:
-                    raise RuntimeError(
-                        f"heredity of {fam.text()} fails at "
-                        f"{g!r} minus vertex {v}")
-    return table
+    """Exhaustive enumeration of red(f) up to n_max vertices, members kept:
+    enumerate_family(ReducedFamily(f, l), ...).  red(f) is a union of
+    forb(Q_s), hereditary by construction, so its members' deletions are
+    not re-checked here; the tests compare them with is_reduced."""
+    return enumerate_family(ReducedFamily(f, l), n_max,
+                            budget_limit=budget_limit, threads=threads)
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,9 @@ def test_kpr_top_level_makes_no_rejected_call(monkeypatch):
     assert rejected and not [r for r in rejected if r[1] == 8]
 
 
-def test_star_speed_makes_no_rejected_call(monkeypatch):
-    # P(J) lists its member children: no child is rejected, and the top
-    # level is read off its parents, so no graph of order 7 is decided
-    rejected = _rejected_calls(monkeypatch)
+def _called_orders(monkeypatch):
+    """Patch the enumerator's membership calls; the returned list collects
+    the order of every graph decided."""
     orders = []
     decide = enumeration._membership
 
@@ -197,10 +196,30 @@ def test_star_speed_makes_no_rejected_call(monkeypatch):
         orders.append(g.n)
         return decide(family, g, *args)
     monkeypatch.setattr(enumeration, "_membership", spy)
+    return orders
+
+
+@pytest.mark.parametrize("fam,n_max,unlabeled", [
+    (FORB_K3, 8, [1, 1, 2, 3, 7, 14, 38, 107, 410]),
+    (HST(2, 0), 8, [1, 1, 2, 3, 7, 13, 35, 88, 303]),
+    (_pj("A?;01;11;00"), 7, [1, 1, 2, 4, 10, 28, 107, 464]),
+], ids=["forb(K3)", "H(2, 0)", "pj(A?;01;11;00)"])
+def test_listed_children_make_no_membership_call(fam, n_max, unlabeled,
+                                                 monkeypatch):
+    # a listed child is taken from its list: only the empty graph, which
+    # no parent lists, is decided by a call
+    orders = _called_orders(monkeypatch)
+    assert enumerate_family(fam, n_max).unlabeled == unlabeled
+    assert orders == [0]
+
+
+def test_star_speed_makes_no_rejected_call(monkeypatch):
+    # P(J) and H(2, 0) list their member children, and the top level is
+    # read off its parents, so no graph above order 0 is decided
+    orders = _called_orders(monkeypatch)
     report = verify_star_speed(_pj("A?;01;11;00").constellation, 2, 7)
     assert report.rows[-1]["labeled"] == "1010668"
-    assert rejected == []
-    assert orders and max(orders) == 6
+    assert set(orders) == {0}
 
 
 def test_kpr_tally_reads_the_within_masks(monkeypatch):

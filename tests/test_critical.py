@@ -252,14 +252,9 @@ class TestVerifyKpr:
         assert r.rows[7]["total"] == "4682270"
 
     def test_listed_top_level_needs_no_budget(self):
-        # budget 6 covers forb(K3)'s anchored check to n = 5 (n + 1 nodes)
-        # and the top level n = 6 makes no membership call
-        assert verify_kpr(2, 6, budget_limit=6).rows == verify_kpr(2, 6).rows
-        with pytest.raises(ResourceLimitError) as info:
-            verify_kpr(2, 6, budget_limit=5)
-        assert str(info.value) == ("forb(K3) at level 5, graph D??: "
-                                   "membership search exceeded node "
-                                   "budget 5")
+        # forb(K3) and H(2, 0) list their member children, so no child is
+        # decided by a call and only the empty graph spends a node
+        assert verify_kpr(2, 6, budget_limit=1).rows == verify_kpr(2, 6).rows
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_top_level_budget_error_names_the_colouring(self, threads):
@@ -362,13 +357,13 @@ class TestVerifyPartitionFraction:
             assert not brute_embeds_induced(complete(3), g)
 
     def test_budget_error_names_product_level_and_graph(self):
-        # budgets 1-5 run out in the enumeration, 6-47 in a partition walk
+        # the enumeration of forb(K3) lists its children and spends no
+        # node, so budgets 1-47 all run out in a partition walk
         for b in range(1, 48):
             with pytest.raises(ResourceLimitError) as info:
                 verify_partition_fraction(FORB_K3, S, 2, 5, budget_limit=b)
             msg = str(info.value)
-            head = "forb(K3)" if b <= 5 else "P(S, S)"
-            assert msg.startswith(f"{head} at level "), (b, msg)
+            assert msg.startswith("P(S, S) at level "), (b, msg)
             assert ", graph " in msg and info.value.__cause__ is not None
             assert msg.endswith(f": membership search exceeded node budget "
                                 f"{b}")
@@ -517,22 +512,16 @@ class TestVerifyStarSpeed:
         assert seen == ["H(2, 0)"]
         split = Constellation(K0, (), (), (0, 1))
         r = verify_star_speed(split, 2, 6)
-        assert seen[1:] == ["H(1, 1)", "H(2, 0)"]
+        assert seen[1:] == ["pj(?;;;01)", "H(2, 0)"]
         want = enumerate_family(PJFamily(split), 6).labeled
         assert [row["labeled"] for row in r.rows] == [str(x) for x in want[1:]]
 
     def test_listing_spends_no_budget(self):
-        # 200 nodes decide every child to order 6, not every child of order
-        # 7; the top level is listed, so no order-7 child is decided
+        # P(J) and H(2, 0) list their member children, so no child is
+        # decided by a call and only the empty graph spends a node
         two = Constellation(edgeless(2), (0, 1), (1, 1), (0, 0))
-        r = verify_star_speed(two, 2, 7, budget_limit=200)
+        r = verify_star_speed(two, 2, 7, budget_limit=1)
         assert r.to_json_obj() == verify_star_speed(two, 2, 7).to_json_obj()
-        # a budget too tight for an order-6 child is refused at its call
-        with pytest.raises(ResourceLimitError) as info:
-            verify_star_speed(two, 2, 7, budget_limit=159)
-        assert str(info.value) == ("pj(A?;01;11;00) at level 6, graph EB^_: "
-                                   "membership search exceeded node budget "
-                                   "159")
 
     def test_residual_at_one(self):
         r = verify_star_speed(DOM, 1, 6)

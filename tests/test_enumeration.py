@@ -172,18 +172,21 @@ class TestValidation:
                 enumerate_family(S, 3, **kw)
 
     def test_budget_propagates(self):
+        # forb(C5) lists no children, so each is decided on the budget;
+        # a listed child (forb(K3)) spends none
         with pytest.raises(ResourceLimitError):
-            enumerate_family(Forb([complete(3)]), 3, budget_limit=1)
+            enumerate_family(Forb([cycle(5)]), 3, budget_limit=1)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_budget_error_names_family_level_and_graph(self, threads):
-        # budget 5 lasts through level 4; level 5 has several parents,
-        # so at two workers the error comes out of a pool worker
+        # budget 5 lasts through level 4 (n + 1 nodes per anchored check);
+        # level 5 has several parents, so at two workers the error comes
+        # out of a pool worker
         with pytest.raises(ResourceLimitError) as info:
-            enumerate_family(Forb([complete(3)]), 6, budget_limit=5,
+            enumerate_family(Forb([cycle(5)]), 7, budget_limit=5,
                              threads=threads)
         msg = str(info.value)
-        assert msg.startswith("forb(K3) at level 5, graph D")
+        assert msg.startswith("forb(C5) at level 5, graph D??: ")
         assert msg.endswith("exceeded node budget 5")
         assert info.value.__cause__ is not None
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hfspeed.canon import canonical_graph
+from hfspeed.canon import canonical_graph, vertex_orbit
 from hfspeed.enumeration import FORMAT_VERSION, enumerate_family, SpeedTable
 from hfspeed.errors import (
     CapacityError, ResourceLimitError, UnsupportedOperationError,
@@ -19,7 +19,7 @@ from hfspeed.graphs import (
 )
 from hfspeed.structure import (
     ApexFreeResult, ColoringNumberResult, MeagerResult,
-    ReducedClassification, ReducedFamily,
+    ReducedFamily,
     coloring_number, enumerate_reduced, is_apex_free, is_balanced,
     is_extendable_upto, is_meager, is_reduced, reduced_product,
     _minimal_parts, smoothness_report, substar,
@@ -190,46 +190,42 @@ class TestEnumerateReduced:
             assert t.members[n] == keep
 
     def test_heredity_verification_runs(self):
-        # default-on verifier walks all one-vertex deletions without raising
+        # red(forb(C5)) at l = 2 enumerates to order 5 without raising
         enumerate_reduced(Forb([cycle(5)]), 2, 5)
 
-    @pytest.mark.parametrize("fam,bad", [
-        (Forb([matching(2)]), complete(3)),
-        (Forb([cycle(5)]), path(3)),
-    ], ids=["K3-in-red(forb(2K2))", "P3-in-red(forb(C5))"])
-    def test_heredity_failure_raises(self, fam, bad, monkeypatch):
-        # the re-check deletes one vertex per Aut orbit; a class called
-        # dangerous must still be met whichever vertex of it is deleted
-        import hfspeed.structure as structure
-        real = structure.is_reduced
-        key = canonical_graph(bad)
-        hits = []
+    # the seven families of the drift workload, each at l = chi_c
+    SEVEN = [Forb(ps) for ps in (
+        [complete(3)], [matching(2)], [cycle(4)], [cycle(5)], [star(3)],
+        [complete(4)], [cycle(4), matching(2)])]
 
-        def one_class_dangerous(h, f, l, budget_limit=None):
-            if canonical_graph(h) == key:
-                hits.append(h)
-                return ReducedClassification(h, False, None, ())
-            return real(h, f, l, budget_limit)
+    @pytest.mark.parametrize("fam", SEVEN, ids=lambda f: f.text())
+    def test_members_stay_reduced_under_deletion(self, fam):
+        # red(f) is a union of forb(Q_s), so deleting a vertex of a member
+        # keeps it reduced: is_reduced's products agree with the patterns
+        # on one deletion per Aut orbit of vertices (deletions in one orbit
+        # give isomorphic graphs)
+        l = coloring_number(fam).l
+        t = enumerate_reduced(fam, l, 10)
+        for n in range(1, 11):
+            for g, gens in zip(t.members[n], t.gens[n]):
+                left = (1 << n) - 1
+                while left:
+                    v = (left & -left).bit_length() - 1
+                    left &= ~vertex_orbit(v, gens, n)
+                    assert is_reduced(delete_vertex(g, v), fam, l).reduced, (
+                        g, v)
 
-        monkeypatch.setattr(structure, "is_reduced", one_class_dangerous)
-        with pytest.raises(RuntimeError, match="heredity"):
-            enumerate_reduced(fam, 2, 5)
-        assert len(hits) == 1
+    def test_builds_no_partition_product(self, monkeypatch):
+        built = []
+        real = PartitionProduct.__init__
 
-    def test_heredity_recheck_runs_once_per_vertex_orbit(self, monkeypatch):
-        # red(forb(2K2)) is edgeless(n) and K_n from n = 2 on, one orbit
-        # each: 1 + 2 * 9 calls to n = 10, where every vertex made 109
-        import hfspeed.structure as structure
-        real = structure.is_reduced
-        calls = []
-
-        def counted(*args):
-            calls.append(1)
-            return real(*args)
-
-        monkeypatch.setattr(structure, "is_reduced", counted)
-        enumerate_reduced(Forb([matching(2)]), 2, 10)
-        assert len(calls) == 19
+        def spy(self, *args):
+            built.append(args)
+            real(self, *args)
+        monkeypatch.setattr(PartitionProduct, "__init__", spy)
+        t = enumerate_reduced(Forb([cycle(5)]), 2, 6)
+        assert t.unlabeled[-1] > 0
+        assert built == []
 
     def test_reduced_family_object(self):
         fam = ReducedFamily(Forb([matching(2)]), 2)

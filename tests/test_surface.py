@@ -1,6 +1,7 @@
 """hfspeed's public surface, pinned so that a name is added or removed
 on purpose."""
 
+import ast
 import inspect
 import os
 import pickle
@@ -155,3 +156,16 @@ def test_import_is_stdlib_only():
                and m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
     assert dataclasses_loaded == "False"
+
+
+def test_no_assert_statement():
+    # python -O drops assert statements, so no check may rest on one
+    src = os.path.dirname(hfspeed.__file__)
+    names = sorted(n for n in os.listdir(src) if n.endswith(".py"))
+    found = []
+    for name in names:
+        with open(os.path.join(src, name)) as fh:
+            tree = ast.parse(fh.read(), name)
+        found += [f"{name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert "enumeration.py" in names and found == []
