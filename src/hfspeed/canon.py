@@ -209,11 +209,15 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     i.e. canonical forms of the colored graph.  Generators then preserve the
     coloring.
     """
+    return _canonical_form(g, cells, vertex_invariant(g))
+
+
+def _canonical_form(g, cells, inv):
+    """canonical_form(g, cells), given g's vertex_invariant inv."""
     n = g.n
     if n == 0:
         return CanonicalForm(g, (), 1, ())
     rows = g.rows
-    inv = vertex_invariant(g)
 
     if cells is None:
         groups = {}

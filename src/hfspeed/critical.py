@@ -237,14 +237,14 @@ def verify_kpr(l: int, n_max: int, *, budget_limit: int | None = None,
     (enumerate_family's `within`).  Every l-colourable graph is
     K_{l+1}-free, so the classes of H(l, 0) are exactly the l-colourable
     classes of forb(K_{l+1}), and each adds n!/|Aut| to both labeled
-    counts.  At l = 2 both families list their member children: no
-    child of forb(K3) is decided by a membership call (only the H(2, 0)
-    tally of each class below the top spends a node), and the top level
-    is read off the classes below (_labeled_counts).  At l = 3 the top
-    level is only counted and its children are tested for colourability
-    on their own labels, in the pool workers when threads > 1; under a
-    tight budget_limit that level may be refused where a test on
-    canonical labels would pass, or the other way round.
+    counts.  At l = 2 both families list their member children, so the
+    top level is read off level n_max - 1 (_labeled_counts), a counted
+    level whose H(2, 0) verdicts come off its parents' lists: only the
+    H(2, 0) tally of each class further down spends a node.  At l = 3
+    the top level is counted and its children are tested for
+    colourability on their own labels, in the pool workers when threads
+    > 1; under a tight budget_limit that level may be refused where a
+    test on canonical labels would pass, or the other way round.
     The asymptotic claim this probes says the fraction tends to 1, and
     the trend verdict honestly reports whether the last value beats the
     one three orders earlier, which at desk scale it may not.

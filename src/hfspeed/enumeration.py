@@ -31,14 +31,15 @@ same graph on W + x, so, the family being hereditary, it is rejected too
 and is skipped before add_vertex and membership.  No-goods live for one
 parent's loop.  Forb gives the image of the pattern it found.
 
-A counted level (the top of a run that keeps no members and writes no
-checkpoint) reads only how many classes there are, their |Aut| and, when
-the run tallies a second family `within`, whether each lies in it.  A
-child there whose new vertex x alone has the maximum invariant needs no
-canonical form: x is the canonical deletion vertex, Aut fixes it, and
-|Aut(child)| is |Aut(parent)| over the orbit size of x's neighbourhood.
-Its `within` test runs where the child is found, on the child's own
-labels; a level below the top tests its records on their canonical graphs.
+A counted level is a top level read one class at a time: that of a run
+keeping no members and no checkpoint, of _labeled_counts (level n - 1)
+or of the exhaustive non-star scan.  A child there whose new vertex x
+alone has the maximum invariant needs no canonical form: x is the
+canonical deletion vertex, Aut fixes it, and |Aut(child)| is
+|Aut(parent)| over the orbit size of x's neighbourhood.  Its record keeps
+|Aut|, a private reader's result on the child's labels and the `within`
+verdict: off the parent's list when `within` lists its member children,
+else decided on the child (levels below decide their canonical graphs).
 
 A level is one map of _child_records over chunks of the level below, the
 family, `within` and the budget passed with each: one chunk in process,
@@ -61,9 +62,10 @@ import os
 import pickle
 from collections import namedtuple
 from fractions import Fraction
+from functools import partial
 from itertools import combinations, repeat
 
-from .canon import canonical_form, subset_orbits, vertex_invariant, vertex_orbit
+from .canon import _canonical_form, subset_orbits, vertex_invariant, vertex_orbit
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .families import HST, Family, _membership
@@ -143,14 +145,17 @@ class SpeedTable(namedtuple(
 
 # one class per level entry: canonical rows, Aut generators (canonical
 # labels), |Aut|
-def _child_records(family, parents, n, budget_limit, counted, within=None):
+def _child_records(family, parents, n, budget_limit, counted, within=None,
+                   read=None):
     """All accepted (rows, gens, aut) children of the given parent records;
-    on a counted level (None, inside, aut), where inside is the child's
-    verdict in `within`, None without one (see the module docstring)."""
+    on a counted level (read(child), inside, aut), inside being the child's
+    `within` verdict, each None without its function (module docstring)."""
 
-    def inside(child):
-        if within is not None:
-            return _membership(within, child, budget_limit).member
+    def found(child, sub, aut):
+        inside = (sub in wkids if wkids is not None
+                  else None if within is None
+                  else _membership(within, child, budget_limit).member)
+        return (None if read is None else read(child), inside, aut)
 
     out = []
     nb = n + 1
@@ -163,6 +168,9 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
             for t in range(d + 1):
                 deg_mask[t] |= 1 << v
         listed = family._member_children(rows)
+        # a listing `within` gives counted children's verdicts ([] outside)
+        wkids = (within._member_children(rows)
+                 if counted and within is not None else None)
         survivors = []
         for sub in range(1 << n) if listed is None else sorted(listed):
             t = sub.bit_count()
@@ -190,14 +198,14 @@ def _child_records(family, parents, n, budget_limit, counted, within=None):
             if inv[n] != vmax:
                 continue
             if counted and inv.count(vmax) == 1:
-                out.append((None, inside(child), aut // size))
+                out.append(found(child, sub, aut // size))
                 continue
-            cf = canonical_form(child)
+            cf = _canonical_form(child, None, inv)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:
                 continue
             if counted:
-                out.append((None, inside(child), cf.aut_order))
+                out.append(found(child, sub, cf.aut_order))
                 continue
             lab = cf.labeling
             inv_lab = [0] * nb
@@ -250,7 +258,8 @@ def _read_level(path, header):
     return None
 
 
-def _level_records(f, n, below, budget_limit, pool, workers, counted, within):
+def _level_records(f, n, below, budget_limit, pool, workers, counted, within,
+                   read):
     """The records of level n, sorted by rows unless counted, computed
     from the records of level n - 1 (none for n = 0), in chunks as the
     module docstring says."""
@@ -265,7 +274,7 @@ def _level_records(f, n, below, budget_limit, pool, workers, counted, within):
         chunks = [below[i:i + step] for i in range(0, len(below), step)]
     recs = [r for part in run(_child_records, repeat(f), chunks, repeat(n - 1),
                               repeat(budget_limit), repeat(counted),
-                              repeat(within))
+                              repeat(within), repeat(read))
             for r in part]
     if not counted:
         recs.sort(key=lambda r: r[0])
@@ -295,13 +304,21 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
     counted: most of its children are accepted without a canonical form,
     their |Aut| read off the parent's group, for the same counts.
     A `within` family is tallied alongside: within_labeled[n] counts the
-    members on [n] that lie in it, each class tested once on a fresh
-    budget (a counted top level tests its children on their own labels).
-    A budget is spent per decided graph, so a child that f lists spends
-    none.  An exhausted membership budget raises ResourceLimitError naming
-    the family (f or within), the level and the graph being decided; so
-    does a pool worker that dies, naming f and the level.
+    members on [n] that lie in it, each class tested once on a fresh budget (on
+    a counted top level, off the parent's list if `within` lists children, else
+    on the child's labels).  A budget is spent per decided graph, so a listed
+    child spends none.  An exhausted membership budget raises
+    ResourceLimitError naming the family (f or within), the level and the graph
+    being decided; so does a pool worker that dies, naming f and the level.
     """
+    return _enumerate(f, n_max, budget_limit, threads, keep_members,
+                      checkpoint_dir, within)[0]
+
+
+def _enumerate(f, n_max, budget_limit, threads, keep_members, checkpoint_dir,
+               within, read=None):
+    """enumerate_family's table and its top level's records; with a reader
+    that level (n_max > 0) is counted and kept levels stop below it."""
     if not f.hereditary:
         raise UnsupportedOperationError(
             f"enumeration needs a hereditary-by-construction family, "
@@ -327,23 +344,22 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
         pool = ProcessPoolExecutor(workers, mp.get_context("fork"))
 
     unlabeled, labeled = [], []
-    members = [] if keep_members else None
-    auts = [] if keep_members else None
-    gens = [] if keep_members else None
+    members, auts, gens = ([], [], []) if keep_members else (None,) * 3
     within_labeled = [] if within is not None else None
     recs = []
     try:
         for n in range(n_max + 1):
-            # the top level of a run that keeps and writes nothing is only
-            # counted (level 0 is built whole, never from parents)
-            counted = 0 < n == n_max and not (keep_members or checkpoint_dir)
+            # the top level of a run that reads it or keeps and writes
+            # nothing is only counted (level 0 is built whole)
+            counted = 0 < n == n_max and (
+                read is not None or not (keep_members or checkpoint_dir))
             recs_below, recs = recs, None
             if checkpoint_dir:
                 path = os.path.join(checkpoint_dir, f"enum-{stem}-{n:02d}.pkl")
                 recs = _read_level(path, (ident, n))
             if recs is None:
                 recs = _level_records(f, n, recs_below, budget_limit, pool,
-                                      workers, counted, within)
+                                      workers, counted, within, read)
                 if checkpoint_dir:
                     out = io.BytesIO()
                     pickle.dump(((ident, n), recs), out)
@@ -358,7 +374,7 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
                     fact // aut for rows, inside, aut in recs
                     if (inside if counted else _membership(
                         within, Graph.from_rows(rows), budget_limit).member)))
-            if members is not None:
+            if members is not None and not counted:
                 members.append([Graph.from_rows(rows) for rows, _, _ in recs])
                 auts.append([aut for _, _, aut in recs])
                 gens.append([g for _, g, _ in recs])
@@ -372,33 +388,36 @@ def enumerate_family(f: Family, n_max: int, *, budget_limit: int | None = None,
             pool.shutdown(cancel_futures=True)
 
     return SpeedTable(f.text(), n_max, unlabeled, labeled, members, auts,
-                      gens, within_labeled)
+                      gens, within_labeled), recs
+
+
+def _listed_counts(f, within, g):
+    """How many children f lists for g, and how many `within` lists too."""
+    kids = f._member_children(g.rows)
+    return len(kids), (0 if within is None else len(
+        set(kids).intersection(within._member_children(g.rows))))
 
 
 def _labeled_counts(f, n_max, budget_limit, threads, within=None):
     """enumerate_family(f, n_max, within=within)'s labeled counts.  When
     f and `within` list their member children, level n_max is not built:
     a member minus its last vertex is a member (heredity), so each class
-    P below adds (n_max - 1)!/|Aut P| per child that both lists hold.  An
-    n_max outside 0..ENUM_MAX_N is refused, as enumerate_family does."""
-    listed = 0 < n_max <= ENUM_MAX_N and all(
+    P of level n_max - 1 adds (n_max - 1)!/|Aut P| per child that both
+    lists hold.  That level is counted, each class read by _listed_counts
+    where it is found, so most of them take no canonical form.  An n_max
+    outside 0..ENUM_MAX_N is refused, as enumerate_family does."""
+    listed = 1 < n_max <= ENUM_MAX_N and all(
         x._member_children(()) is not None
         for x in (f, within) if x is not None)
-    t = enumerate_family(f, n_max - 1 if listed else n_max,
-                         budget_limit=budget_limit, threads=threads,
-                         keep_members=listed, within=within)
+    t, top = _enumerate(f, n_max - 1 if listed else n_max, budget_limit,
+                        threads, False, None, within,
+                        partial(_listed_counts, f, within) if listed else None)
     if not listed:
         return t.labeled, t.within_labeled
     w = math.factorial(n_max - 1)
-    top = inside = 0
-    for g, aut in zip(t.members[-1], t.auts[-1]):
-        kids = set(f._member_children(g.rows))
-        top += w // aut * len(kids)
-        if within is not None:
-            inside += w // aut * len(
-                kids.intersection(within._member_children(g.rows)))
-    return (t.labeled + [top],
-            None if within is None else t.within_labeled + [inside])
+    kids, both = (sum(w // aut * r[i] for r, _, aut in top) for i in (0, 1))
+    return (t.labeled + [kids],
+            None if within is None else t.within_labeled + [both])
 
 
 def _bench_counts(f, l, n_max, budget_limit, threads, counts):

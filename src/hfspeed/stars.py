@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
+from functools import partial
 from itertools import combinations, combinations_with_replacement
 
 from .canon import canonical_form, subset_orbit_reps
@@ -744,37 +745,43 @@ def is_minimal_nonstar(g: Graph, s: int) -> bool:
     return all(is_s_star(delete_vertex(g, v), s) for v in range(g.n))
 
 
+def _witness(s, g):
+    """Canonical graph6 of g when g is a minimal non-s-star, else None."""
+    return graph6.encode(canonical_form(g).canon) if is_minimal_nonstar(
+        g, s) else None
+
+
 def minimal_nonstar_scan(s: int, n_max: int, *, samples: int | None = None,
                          seed: int = 0) -> NonStarScanReport:
     """Hunt for vertex-minimal non-s-stars.
 
     Exhaustive mode (samples is None) walks every unlabeled graph up to
-    n_max (capped at 8 by enumeration cost).  Random mode (n_max capped
-    at MAX_VERTICES) draws `samples` graphs: order uniform in 1..n_max,
-    then each edge an independent fair coin from random.Random(seed),
-    pairs in lexicographic order; the seed lands in the report so runs
-    are reproducible.  Witnesses are canonical graph6, deduplicated, sorted.
+    n_max (capped at 8 by enumeration cost), order n_max where each class
+    is found, so only its witnesses there take a canonical form.  Random
+    mode (n_max capped at MAX_VERTICES) draws `samples` graphs: order
+    uniform in 1..n_max, then each edge an independent fair coin from
+    random.Random(seed), pairs in lexicographic order; the seed lands in
+    the report so runs are reproducible.  Witnesses are canonical graph6,
+    deduplicated, sorted.
     """
     if s < 0:
         raise ValidationError("s must be >= 0")
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
     found = set()
-    scanned = []
     if samples is None:
         if n_max > 8:
             raise CapacityError("exhaustive non-star scan is capped at n = 8")
-        from .enumeration import enumerate_family
-        table = enumerate_family(ALL, n_max, keep_members=True)
-        for n in range(1, n_max + 1):
-            scanned.append((n, len(table.members[n])))
-            for g in table.members[n]:
-                if is_minimal_nonstar(g, s):
-                    found.add(graph6.encode(g))
+        from .enumeration import _enumerate
+        table, top = _enumerate(ALL, n_max, None, 1, True, None, None,
+                                partial(_witness, s))
+        found.update(w for w, _, _ in top if w)
+        found.update(graph6.encode(g) for level in table.members[1:]
+                     for g in level if is_minimal_nonstar(g, s))
+        scanned = [(n, table.unlabeled[n]) for n in range(1, n_max + 1)]
         return NonStarScanReport(s, "exhaustive", n_max, None, None,
                                  scanned, sorted(found))
     import random
-    from .canon import canonical_form as _cf
     if samples < 1:
         raise ValidationError("samples must be >= 1")
     if n_max > MAX_VERTICES:
@@ -791,9 +798,9 @@ def minimal_nonstar_scan(s: int, n_max: int, *, samples: int | None = None,
                 if rng.getrandbits(1):
                     rows[u] |= 1 << v
                     rows[v] |= 1 << u
-        g = Graph.from_rows(rows)
-        if is_minimal_nonstar(g, s):
-            found.add(graph6.encode(_cf(g).canon))
+        w = _witness(s, Graph.from_rows(rows))
+        if w:
+            found.add(w)
     scanned = sorted(per_n.items())
     return NonStarScanReport(s, "random", n_max, seed, samples,
                              scanned, sorted(found))

@@ -24,7 +24,9 @@ from hfspeed.graph6 import decode
 from hfspeed.graphs import (
     Graph, add_vertex, complete, cycle, induced_subgraph, matching,
 )
-from hfspeed.stars import Constellation, PJFamily, is_member_PJ
+from hfspeed.stars import (
+    Constellation, PJFamily, is_member_PJ, minimal_nonstar_scan,
+)
 from hfspeed.structure import ReducedFamily
 from oracles import (
     all_reps_child_records, double_count_labeled, naive_member,
@@ -236,6 +238,46 @@ def test_kpr_tally_reads_the_within_masks(monkeypatch):
     report = verify_kpr(2, 8)
     assert report.rows[-1]["covered"] == "2922446"
     assert calls == []
+
+
+def test_counted_tally_reads_the_parents_lists(monkeypatch):
+    # a counted level takes a listing `within`'s verdict off each parent's
+    # list, so no graph of the top order is decided by a call
+    orders = _called_orders(monkeypatch)
+    t = enumerate_family(FORB_K3, 8, keep_members=False, within=HST(2, 0))
+    assert t.within_labeled[8] == 2922446
+    assert 8 not in orders and 7 in orders
+
+
+def _enumerator_forms(monkeypatch):
+    """Patch the enumerator's canonical forms; the returned list collects
+    the order of every graph canonicalised."""
+    orders = []
+    real = enumeration._canonical_form
+
+    def spy(g, *args):
+        orders.append(g.n)
+        return real(g, *args)
+    monkeypatch.setattr(enumeration, "_canonical_form", spy)
+    return orders
+
+
+def test_kpr_counts_its_next_to_top_level(monkeypatch):
+    # level 8 of forb(K3) is counted, so most of its classes take no
+    # canonical form: fewer forms than the 583 classes to order 8
+    forms = _enumerator_forms(monkeypatch)
+    report = verify_kpr(2, 9)
+    assert report.rows[-1]["covered"] == "116011231"
+    assert len(forms) < 583
+
+
+def test_nonstar_scan_counts_its_top_order(monkeypatch):
+    # order 7 is counted, so most of its classes take no canonical form:
+    # fewer forms than the 1,253 classes ALL has to order 7
+    forms = _enumerator_forms(monkeypatch)
+    report = minimal_nonstar_scan(1, 7)
+    assert report.scanned[-1] == (7, 1044)
+    assert len(forms) < 1253
 
 
 # sha256 over (n, unlabeled, labeled, member rows) at every level to n = 8,

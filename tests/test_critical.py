@@ -222,17 +222,18 @@ class TestVerifyKpr:
     def test_top_level_is_counted(self, monkeypatch):
         # forb(K3) and H(2, 0) list their member children, so the top level
         # is read off the classes below: no augmentation, no membership
-        # call and no canonical form at n = 8
+        # call and no canonical form at n = 8, and level 7's H(2, 0)
+        # verdicts come from its parents' lists, with no membership call
         import hfspeed.enumeration as enumeration
         from hfspeed.families import Family
         forms, levels, decided = [], [], []
-        real_form, real_records = (enumeration.canonical_form,
+        real_form, real_records = (enumeration._canonical_form,
                                    enumeration._child_records)
         real_membership = Family.membership
 
-        def form(g):
+        def form(g, *rest):
             forms.append(g.n)
-            return real_form(g)
+            return real_form(g, *rest)
 
         def records(family, parents, n, *rest):
             levels.append(n)
@@ -242,13 +243,13 @@ class TestVerifyKpr:
             decided.append(g.n)
             return real_membership(self, g, *rest)
 
-        monkeypatch.setattr(enumeration, "canonical_form", form)
+        monkeypatch.setattr(enumeration, "_canonical_form", form)
         monkeypatch.setattr(enumeration, "_child_records", records)
         monkeypatch.setattr(Family, "membership", membership)
         r = verify_kpr(2, 8)
         assert 7 not in levels and max(levels) == 6
         assert forms.count(8) == 0 and decided.count(8) == 0
-        assert max(decided) == 7
+        assert max(decided) == 6
         assert r.rows[7]["total"] == "4682270"
 
     def test_listed_top_level_needs_no_budget(self):
@@ -326,6 +327,15 @@ class TestLabeledCounts:
             t = enumerate_family(FORB_K3, n_max, keep_members=False,
                                  within=HST(2, 0))
             got = _labeled_counts(FORB_K3, n_max, None, 1, HST(2, 0))
+            assert got == (t.labeled, t.within_labeled)
+
+    def test_low_orders_in_the_pool(self):
+        # from n_max = 4 on, the counted level n_max - 1 has more than one
+        # parent, so its reader runs in the pool workers
+        for n_max in range(6):
+            t = enumerate_family(FORB_K3, n_max, keep_members=False,
+                                 within=HST(2, 0))
+            got = _labeled_counts(FORB_K3, n_max, None, 2, HST(2, 0))
             assert got == (t.labeled, t.within_labeled)
 
 
@@ -502,12 +512,13 @@ class TestVerifyStarSpeed:
     def test_empty_core_enumerates_each_family_once(self, monkeypatch):
         import hfspeed.enumeration as enumeration
         seen = []
+        real = enumeration._enumerate
 
-        def counting(f, n_max, **kw):
+        def counting(f, n_max, *rest):
             seen.append(f.text())
-            return enumerate_family(f, n_max, **kw)
+            return real(f, n_max, *rest)
 
-        monkeypatch.setattr(enumeration, "enumerate_family", counting)
+        monkeypatch.setattr(enumeration, "_enumerate", counting)
         r = verify_star_speed(Constellation(K0, (), (), (0, 0)), 2, 6)
         assert seen == ["H(2, 0)"]
         split = Constellation(K0, (), (), (0, 1))

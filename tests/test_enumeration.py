@@ -231,13 +231,13 @@ class TestCountedLevel:
     def test_top_level_takes_fewer_canonical_forms(self, monkeypatch):
         import hfspeed.enumeration as enumeration
         calls = []
-        real = enumeration.canonical_form
+        real = enumeration._canonical_form
 
-        def spy(g):
+        def spy(g, *rest):
             calls.append(g.n)
-            return real(g)
+            return real(g, *rest)
 
-        monkeypatch.setattr(enumeration, "canonical_form", spy)
+        monkeypatch.setattr(enumeration, "_canonical_form", spy)
         fam = Forb([complete(3)])
         enumerate_family(fam, 8)
         kept = sorted(calls)
@@ -609,13 +609,13 @@ class TestSpeedDelta:
         # sides (its top level read off level 5, as _labeled_counts does)
         from hfspeed import enumeration
         calls = []
-        real = enumeration.enumerate_family
+        real = enumeration._enumerate
 
-        def spy(f, n_max, **kw):
+        def spy(f, n_max, *rest):
             calls.append((f.text(), n_max))
-            return real(f, n_max, **kw)
+            return real(f, n_max, *rest)
 
-        monkeypatch.setattr(enumeration, "enumerate_family", spy)
+        monkeypatch.setattr(enumeration, "_enumerate", spy)
         rep = speed_delta(HST(2, 0), 2, 6)
         assert calls == [("H(2, 0)", 5)]
         assert rep.delta == [0.0] * 7

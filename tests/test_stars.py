@@ -662,6 +662,23 @@ class TestScans:
         assert rep.witnesses == got
         assert rep.scanned[-1] == (8, 12346)
 
+    @pytest.mark.parametrize("n_max", range(1, 8))
+    @pytest.mark.parametrize("s", range(3))
+    def test_exhaustive_scan_equals_a_loop_over_members(self, s, n_max):
+        # the scan tests its top order where each class is found; the
+        # reference tests every kept member of every order
+        table = enumerate_family(ALL, n_max, keep_members=True)
+        found = set()
+        scanned = []
+        for n in range(1, n_max + 1):
+            scanned.append((n, len(table.members[n])))
+            for g in table.members[n]:
+                if is_minimal_nonstar(g, s):
+                    found.add(graph6.encode(g))
+        rep = minimal_nonstar_scan(s, n_max)
+        assert rep.scanned == scanned
+        assert rep.witnesses == sorted(found)
+
     def test_exhaustive_cap(self):
         with pytest.raises(CapacityError):
             minimal_nonstar_scan(0, 9)
