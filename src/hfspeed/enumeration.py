@@ -13,10 +13,11 @@ whose new vertex is not of maximum invariant can be rejected before any
 canonical computation.  The degree part of that filter is O(1) per subset
 via precomputed degree-threshold masks.
 
-Children read off the parent: forb(K3), H(2, 0) and P(J) list, from a
-member parent P alone, every neighbourhood of x that gives a member child
-(the independent sets of P; a subset of one side of each component of P;
-the cubes of x's placements in P's templates, see PJFamily).  The list
+Children read off the parent: ALL, forb(K3), H(2, 0) and P(J) list,
+from a member parent P alone, every neighbourhood of x that gives a
+member child (every mask; the independent sets of P; a subset of one
+side of each component of P; the cubes of x's placements in P's
+templates, see PJFamily).  The list
 is the verdict: a listed child is only orbit-reduced and checked for
 canonicity, with no membership call, no no-good and no budget spent.
 Their labeled counts need no top level (_labeled_counts): a member on

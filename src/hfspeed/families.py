@@ -350,6 +350,9 @@ class AtomAll(Family):
         budget.spend()
         return True, None
 
+    def _member_children(self, rows):
+        return range(1 << len(rows))
+
 
 S = AtomS()
 C = AtomC()

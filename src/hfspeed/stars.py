@@ -20,7 +20,9 @@ Irreducible star systems, the components every grid is assembled
 from, are sorted by (|J|, -beta, -|A1|, J's rows, alpha mask): J comes
 canonically labelled from the enumeration of ALL and alpha is the least
 mask of its Aut(J)-orbit, so that tuple already tells the classes apart
-and no canonical form is computed per (J, alpha).
+and no canonical form is computed per (J, alpha).  Core vertex v is
+removable iff alpha's ones are N[v] (beta 1) or N(v) (beta 0), so one
+set lookup in J's closed or open rows decides a system's irreducibility.
 
 The crown definition quantifies over every vertex, including crown
 vertices themselves; for those the "adjacent to all" branch is read as
@@ -31,16 +33,16 @@ requirement that the crown induce a complete or edgeless graph.
 from __future__ import annotations
 
 import json
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import partial
-from itertools import combinations, combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from .canon import canonical_form, subset_orbit_reps
 from .errors import CapacityError, ValidationError
 from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
 from .graphs import (
-    MAX_VERTICES, Graph, _embed, _typed_parts, bits, delete_vertex,
-    induced_subgraph, mask_of,
+    MAX_VERTICES, Graph, _embed, _typed_parts, bits, induced_subgraph,
+    mask_of,
 )
 from . import graph6
 
@@ -69,10 +71,8 @@ def minimal_core(g: Graph, max_size: int | None = None):
 
     Scans subset sizes upward; itertools yields each size in lex order,
     so the first hit is the lex-least core of minimum size.  max_size
-    cuts the scan early (is_s_star style queries stay polynomial: only
-    sum of C(n, k) for k <= max_size crown checks); when no core within
-    the bound exists the result is (None, None).  Unbounded calls always
-    succeed because any single vertex is a crown, so size n-1 works.
+    cuts the scan early; no core within it gives (None, None).  That
+    size is n minus a largest twin class, which is_s_star reads directly.
     """
     n = g.n
     full = g.full_mask()
@@ -85,9 +85,25 @@ def minimal_core(g: Graph, max_size: int | None = None):
     return None, None
 
 
+def _core_size(rows, drop=0) -> int:
+    """Minimum core size of the graph on rows less the vertices in drop,
+    n minus its largest twin class (one count takes both kinds: N(u) is
+    never N[w], as w in N(u) would put u in N[w] = N(u))."""
+    vs = [v for v in range(len(rows)) if not drop >> v & 1]
+    twins = Counter(rows[v] & ~drop for v in vs)
+    twins.update((rows[v] | 1 << v) & ~drop for v in vs)
+    return len(vs) - max(twins.values(), default=0)
+
+
 def is_s_star(g: Graph, s: int) -> bool:
-    """Does g have a core of at most s vertices?"""
-    return minimal_core(g, max_size=s)[0] is not None
+    """Does g have a core of at most s vertices?
+
+    A crown is exactly a set of pairwise false twins (equal rows: it is
+    edgeless) or true twins (equal closed rows: complete), as every other
+    vertex sees two crown vertices alike.  Both are equivalences, so a
+    minimum core leaves out a largest twin class: n minus it is <= s.
+    """
+    return s >= 0 and _core_size(g.rows) <= s
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +156,9 @@ def star_system_irreducible(sys: StarSystem) -> bool:
     vertices: uv an edge iff alpha(u) = 1.  Moving such a v into the
     crown keeps every template condition, so the core was not minimal;
     conversely an irreducible system has no removable vertex and its
-    template image is a minimal core in any host with crown >= 2.
+    template image is a minimal core in any host with crown >= 2.  On
+    masks: v is removable iff alpha's ones are N[v] (beta 1) or N(v)
+    (beta 0), either of which already fixes alpha(v) = beta.
 
     The definition's literal text reads "uv not in E(J)" in both of its
     branches, which collapses to "some u nonadjacent to v" and breaks
@@ -148,15 +166,8 @@ def star_system_irreducible(sys: StarSystem) -> bool:
     meaning wins here and the host cross-check in the test suite replays
     every verdict against an explicit host.
     """
-    return _irreducible(sys.j.rows, sys.alpha, sys.beta)
-
-
-def _irreducible(rows, alpha, beta) -> bool:
-    """star_system_irreducible on bare fields: v is removable iff
-    alpha(v) = beta and N(v) is exactly the other vertices of alpha 1."""
-    ones = mask_of(v for v, a in enumerate(alpha) if a)
-    return not any(a == beta and rows[v] == ones & ~(1 << v)
-                   for v, a in enumerate(alpha))
+    ones = mask_of(v for v, a in enumerate(sys.alpha) if a)
+    return all(r | sys.beta << v != ones for v, r in enumerate(sys.j.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -596,20 +607,28 @@ def irreducible_star_systems(s: int) -> list[StarSystem]:
         raise ValidationError("s must be >= 0")
     if s > 6:
         raise CapacityError("star system generation is guarded at s <= 6")
+    return [StarSystem._make(f) for f in _irreducible_fields(s)]
+
+
+def _irreducible_fields(s):
+    """The (J, alpha, beta) of irreducible_star_systems(s), in its order:
+    per |J|, buckets keyed (-beta, -|A1|) in sort order, filled as J runs
+    in rows order and alpha ascending, with each alpha mask that is no
+    closed (beta 1) or open (beta 0) row of J (star_system_irreducible)."""
     from .enumeration import enumerate_family
     table = enumerate_family(ALL, s, keep_members=True)
-    out = []
     for size in range(s + 1):
+        alphas = [tuple(m >> v & 1 for v in range(size))
+                  for m in range(1 << size)]
+        buckets = {(-b, -k): [] for b in (1, 0) for k in range(size, -1, -1)}
         for j, gens in zip(table.members[size], table.gens[size]):
-            for abits in subset_orbit_reps(size, gens):
-                alpha = tuple(abits >> v & 1 for v in range(size))
-                for b in (1, 0):
-                    if _irreducible(j.rows, alpha, b):
-                        out.append(((size, -b, -abits.bit_count(), j.rows,
-                                     abits),
-                                    StarSystem._make((j, alpha, b))))
-    out.sort(key=lambda ks: ks[0])
-    return [sy for _, sy in out]
+            opened = set(j.rows)
+            closed = {r | 1 << v for v, r in enumerate(j.rows)}
+            for m in subset_orbit_reps(size, gens):
+                for b, removable in ((1, closed), (0, opened)):
+                    if m not in removable:
+                        buckets[-b, -m.bit_count()].append((j, alphas[m], b))
+        yield from chain.from_iterable(buckets.values())
 
 
 def generate_constellations(l: int, s: int) -> list[Constellation]:
@@ -637,11 +656,12 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
     if l * s > 6:
         raise CapacityError(
             f"grid l*s = {l * s} beyond the generation guard of 6")
-    # never empty: both systems with an empty core are irreducible
-    comps = irreducible_star_systems(s)
     if l == 1:
         # one system: no cross pairs
-        return [sy.as_constellation() for sy in comps]
+        return [Constellation._make((j, (0,) * j.n, alpha, (b,)))
+                for j, alpha, b in _irreducible_fields(s)]
+    # never empty: both systems with an empty core are irreducible
+    comps = irreducible_star_systems(s)
     out = []
     for combo in combinations_with_replacement(range(len(comps)), l):
         systems = [comps[ix] for ix in combo]
@@ -739,10 +759,11 @@ class NonStarScanReport(namedtuple(
 
 
 def is_minimal_nonstar(g: Graph, s: int) -> bool:
-    """Not an s-star, but every one-vertex deletion is."""
+    """Not an s-star, but every one-vertex deletion is: g - v is read off
+    g's rows with bit v masked out, as in is_s_star; no graph is built."""
     if is_s_star(g, s):
         return False
-    return all(is_s_star(delete_vertex(g, v), s) for v in range(g.n))
+    return all(_core_size(g.rows, 1 << v) <= s for v in range(g.n))
 
 
 def _witness(s, g):

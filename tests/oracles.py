@@ -479,6 +479,16 @@ def brute_constellation_class_count(l, s):
     return len(classes)
 
 
+def irreducible_by_vertex(rows, alpha, beta):
+    """Star system irreducibility by the per-vertex rule: no core vertex v
+    has alpha(v) = beta with N(v) exactly the other vertices of alpha 1."""
+    ones = 0
+    for v, a in enumerate(alpha):
+        ones |= a << v
+    return not any(a == beta and rows[v] == ones & ~(1 << v)
+                   for v, a in enumerate(alpha))
+
+
 def _first_use_maps(k, l, s):
     """Maps of vertices 0..k-1 to parts, a part opened only after every
     lower one, at most l parts and at most s vertices in each."""

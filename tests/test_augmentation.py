@@ -18,7 +18,9 @@ import pytest
 
 import hfspeed.enumeration as enumeration
 from hfspeed.critical import verify_kpr, verify_star_speed
-from hfspeed.enumeration import _child_records, enumerate_family
+from hfspeed.enumeration import (
+    _child_records, _labeled_counts, enumerate_family,
+)
 from hfspeed.families import ALL, AtomC, AtomM, Forb, HST, PartitionProduct
 from hfspeed.graph6 import decode
 from hfspeed.graphs import (
@@ -205,7 +207,8 @@ def _called_orders(monkeypatch):
     (FORB_K3, 8, [1, 1, 2, 3, 7, 14, 38, 107, 410]),
     (HST(2, 0), 8, [1, 1, 2, 3, 7, 13, 35, 88, 303]),
     (_pj("A?;01;11;00"), 7, [1, 1, 2, 4, 10, 28, 107, 464]),
-], ids=["forb(K3)", "H(2, 0)", "pj(A?;01;11;00)"])
+    (ALL, 7, [1, 1, 2, 4, 11, 34, 156, 1044]),
+], ids=["forb(K3)", "H(2, 0)", "pj(A?;01;11;00)", "ALL"])
 def test_listed_children_make_no_membership_call(fam, n_max, unlabeled,
                                                  monkeypatch):
     # a listed child is taken from its list: only the empty graph, which
@@ -213,6 +216,15 @@ def test_listed_children_make_no_membership_call(fam, n_max, unlabeled,
     orders = _called_orders(monkeypatch)
     assert enumerate_family(fam, n_max).unlabeled == unlabeled
     assert orders == [0]
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_all_labeled_counts_take_the_listed_route(n, monkeypatch):
+    # every labelled graph: level n is read off level n - 1's lists
+    orders = _called_orders(monkeypatch)
+    labeled, within = _labeled_counts(ALL, n, None, 1)
+    assert labeled == [2 ** (k * (k - 1) // 2) for k in range(n + 1)]
+    assert within is None and orders == [0]
 
 
 def test_star_speed_makes_no_rejected_call(monkeypatch):

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import random
 import subprocess
 import sys
 from itertools import combinations
@@ -16,7 +17,7 @@ from hfspeed.families import ALL, HST
 from hfspeed.graphs import (
     Graph, complement, complete, cycle, delete_vertex,
     disjoint_union, edgeless, find_induced_embedding, induced_subgraph,
-    join, matching, path, star,
+    join, matching, path, relabel, star,
 )
 from hfspeed.stars import (
     Constellation, PJFamily, StarSystem, Template,
@@ -26,8 +27,8 @@ from hfspeed.stars import (
     star_system_irreducible, verify_pj_certificate, verify_template,
 )
 from oracles import (
-    brute_constellation_class_count, constellation_host, is_clique_mask,
-    is_independent_mask,
+    all_labeled_graphs, brute_constellation_class_count, constellation_host,
+    irreducible_by_vertex, is_clique_mask, is_independent_mask,
 )
 
 K0 = Graph.from_rows([])
@@ -119,6 +120,23 @@ class TestCrownsAndCores:
         assert minimal_core(cycle(5), max_size=3) == (None, None)
         assert minimal_core(cycle(5), max_size=4)[0] == 4
 
+    def test_twin_classes_match_brute_cores(self):
+        # is_s_star and is_minimal_nonstar read cores off twin classes;
+        # the reference scans subsets for a crown by the two-clause
+        # definition, on every class of ALL to 7 and a seeded relabelling
+        rng = random.Random(31)
+        for g in small_graphs(7):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            for h in (g, relabel(g, perm)):
+                core = brute_minimal_core(h)[0]
+                cores = [brute_minimal_core(delete_vertex(h, v))[0]
+                         for v in range(h.n)]
+                for s in range(h.n + 1):
+                    assert is_s_star(h, s) == (core <= s), (h.rows, s)
+                    assert is_minimal_nonstar(h, s) == (
+                        core > s and all(c <= s for c in cores)), (h.rows, s)
+
     def test_is_s_star_examples(self):
         assert not is_s_star(cycle(4), 0)
         assert is_s_star(cycle(4), 2)
@@ -141,6 +159,18 @@ class TestStarSystems:
         assert not star_system_irreducible(StarSystem(complete(1), (0,), 0))
         assert not star_system_irreducible(StarSystem(complete(1), (1,), 1))
         assert star_system_irreducible(ISO)
+
+    def test_mask_rule_matches_the_per_vertex_rule(self):
+        # every labelled J to 5 vertices, every alpha, both betas
+        for k in range(6):
+            for j in all_labeled_graphs(k):
+                for abits in range(1 << k):
+                    alpha = tuple(abits >> v & 1 for v in range(k))
+                    for beta in (0, 1):
+                        assert star_system_irreducible(
+                            StarSystem(j, alpha, beta)) == \
+                            irreducible_by_vertex(j.rows, alpha, beta), (
+                                j.rows, alpha, beta)
 
     def test_nonedge_over_clique_is_irreducible(self):
         # moving either vertex into a clique crown would force it adjacent
@@ -626,6 +656,13 @@ class TestGeneration:
         assert len(generate_constellations(5, 1)) == 824
         assert len(forms) == 40
 
+    def test_one_part_grid_builds_no_star_system(self, monkeypatch):
+        # the l = 1 grid is built from the fields of each system
+        def no_system(self):
+            raise AssertionError("as_constellation called")
+        monkeypatch.setattr(StarSystem, "as_constellation", no_system)
+        assert len(generate_constellations(1, 6)) == 10192
+
     def test_guards(self):
         with pytest.raises(CapacityError):
             generate_constellations(4, 2)
@@ -678,6 +715,13 @@ class TestScans:
         rep = minimal_nonstar_scan(s, n_max)
         assert rep.scanned == scanned
         assert rep.witnesses == sorted(found)
+
+    def test_scan_builds_no_deletion_graph(self, monkeypatch):
+        # each g - v is read off g's rows
+        def no_graph(*a):
+            raise AssertionError("delete_vertex called")
+        monkeypatch.setattr(stars, "delete_vertex", no_graph, raising=False)
+        assert minimal_nonstar_scan(1, 7).max_order == 4
 
     def test_exhaustive_cap(self):
         with pytest.raises(CapacityError):
