@@ -14,7 +14,11 @@ n points costs n - 1 generators.  A first-path sibling v that is a twin
 of the first-path vertex w (same neighbours apart from each other) is not
 descended into: its leftmost leaf is the (w v)-image of the first, which
 would give the generator (w v) and the same backjump, unless a deeper
-first-path target cell holds v and a vertex between w and v.
+first-path target cell holds v and a vertex between w and v.  When a
+first-path target cell T = {t1 < ... < tk} is a twin class, every other
+cell sees all of T or none, so individualizing t1, t2, ... splits
+nothing: the search descends once, unrefined, to T's singletons, then
+records (t(k-1) tk), ..., (t1 t2) as those levels' twin siblings would.
 
 Refinement splits cells by bit masks and skips splitters that cannot
 split anything.  A singleton splitter splits each cell with two mask
@@ -189,6 +193,16 @@ def _encode_discrete(rows, cells):
     return enc
 
 
+def _twin_class(rows, mask):
+    """Are the vertices of mask pairwise twins (rows equal outside mask,
+    mask independent or a clique), so that swapping two is in Aut?"""
+    top = rows[mask.bit_length() - 1]
+    outside, clique = top & ~mask, top & mask
+    return all(rows[v] & ~mask == outside
+               and rows[v] & mask == (mask ^ 1 << v if clique else 0)
+               for v in bits(mask))
+
+
 def _compose(a, b):
     """Permutation a after b: (a*b)[i] = a[b[i]]."""
     return tuple(map(a.__getitem__, b))
@@ -276,9 +290,13 @@ def _canonical_form(g, cells, inv):
                     frontier.append(y)
         return v in seen
 
-    def search(cells, prefix, pmask, queue):
+    def swap(a, b):
+        p = list(range(n))
+        p[a], p[b] = b, a
+        return tuple(p)
+
+    def search(cells, prefix, pmask):  # cells come refined
         nonlocal best, first
-        cells = _refine(rows, cells, queue)
         if len(cells) == n:
             enc = _encode_discrete(rows, cells)
             if first is not None and enc > best[0] and enc != first[0]:
@@ -314,6 +332,22 @@ def _canonical_form(g, cells, inv):
         on_first = first is None
         if on_first:
             first_cells.append(cell)
+            if _twin_class(rows, cell):
+                # individualizing a twin splits nothing: take t1..t(k-1)
+                # at once, then record what each level's sibling would
+                chain = list(bits(cell))
+                rest = cell
+                for t in chain[:-2]:
+                    rest ^= 1 << t
+                    first_cells.append(rest)
+                k = search(head + [1 << t for t in chain] + tail,
+                           prefix + tuple(chain[:-1]),
+                           pmask | cell ^ 1 << chain[-1])
+                if k is not None and k < len(prefix):
+                    return k
+                for i in range(len(chain) - 1, 0, -1):
+                    record_aut(swap(chain[i - 1], chain[i]))
+                return
         tried = []
         m = cell
         while m:
@@ -330,17 +364,17 @@ def _canonical_form(g, cells, inv):
                         and not any(c >> v & 1 and c & between
                                     for c in first_cells[len(prefix) + 1:])):
                     # twins: the descent would only record (w v)
-                    record_aut(tuple(v if u == w else w if u == v else u
-                                     for u in range(n)))
+                    record_aut(swap(w, v))
                     continue
             # every other cell of the child is a cell of the equitable
             # partition just refined, so it cannot split anything
-            k = search(head + [b, cell ^ b] + tail, prefix + (v,),
-                       pmask | b, [b, cell ^ b])
+            k = search(_refine(rows, head + [b, cell ^ b] + tail,
+                               [b, cell ^ b]),
+                       prefix + (v,), pmask | b)
             if k is not None and k < len(prefix):
                 return k
 
-    search(initial, (), 0, None)
+    search(_refine(rows, initial), (), 0)
     lab = best[1]
     canon = relabel(g, lab)
     return CanonicalForm(canon, lab, _first_path_order(first[2], gens, n),
@@ -352,7 +386,8 @@ def _first_path_order(path, gens, n):
     under the generators fixing path[:i] pointwise.
 
     Every first-path child not pruned by orbit_hit either is a twin of
-    path[i], whose transposition fixes path[:i] and maps path[i] onto it,
+    path[i] (a sibling or in a twin chain), whose transposition fixes
+    path[:i] and maps path[i] onto it,
     or had its subtree searched up to a leaf equal to the first one, if
     any, whose automorphism does the same; the backjump skips only the
     rest of that subtree.  So these orbits are the full stabilizer orbits,

@@ -34,13 +34,14 @@ parent's loop.  Forb gives the image of the pattern it found.
 
 A counted level is a top level read one class at a time: that of a run
 keeping no members and no checkpoint, of _labeled_counts (level n - 1)
-or of the exhaustive non-star scan.  A child there whose new vertex x
-alone has the maximum invariant needs no canonical form: x is the
-canonical deletion vertex, Aut fixes it, and |Aut(child)| is
-|Aut(parent)| over the orbit size of x's neighbourhood.  Its record keeps
-|Aut|, a private reader's result on the child's labels and the `within`
-verdict: off the parent's list when `within` lists its member children,
-else decided on the child (levels below decide their canonical graphs).
+or of the exhaustive non-star scan.  A child there whose vertices of
+maximum invariant form a twin class M needs no canonical form: M holds
+the canonical deletion vertex and is one Aut orbit, and |Aut(child)| is
+|M| |Aut(parent)| over the orbit size of the new vertex's neighbourhood.
+Its record keeps |Aut|, a private reader's result on the child's labels
+and the `within` verdict: off the parent's list when `within` lists its
+member children, else decided on the child (levels below decide their
+canonical graphs).
 
 A level is one map of _child_records over chunks of the level below, the
 family, `within` and the budget passed with each: one chunk in process,
@@ -66,7 +67,8 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations, repeat
 
-from .canon import _canonical_form, subset_orbits, vertex_invariant, vertex_orbit
+from .canon import (_canonical_form, _twin_class, subset_orbits,
+                    vertex_invariant, vertex_orbit)
 from .errors import (CapacityError, ResourceLimitError,
                      UnsupportedOperationError, ValidationError)
 from .families import HST, Family, _membership
@@ -198,9 +200,12 @@ def _child_records(family, parents, n, budget_limit, counted, within=None,
             vmax = max(inv)
             if inv[n] != vmax:
                 continue
-            if counted and inv.count(vmax) == 1:
-                out.append(found(child, sub, aut // size))
-                continue
+            if counted:
+                top = sum(1 << v for v in range(nb) if inv[v] == vmax)
+                if _twin_class(child.rows, top):
+                    out.append(found(child, sub,
+                                     aut // size * top.bit_count()))
+                    continue
             cf = _canonical_form(child, None, inv)
             w = cf.labeling.index(nb - 1)
             if w != n and not vertex_orbit(n, cf.generators, nb) >> w & 1:

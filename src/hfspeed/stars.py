@@ -767,7 +767,11 @@ def is_minimal_nonstar(g: Graph, s: int) -> bool:
 
 
 def _witness(s, g):
-    """Canonical graph6 of g when g is a minimal non-s-star, else None."""
+    """Canonical graph6 of g when g is a minimal non-s-star, else None.
+    g less its last vertex is tested first: in the exhaustive scan that is
+    the parent, and a non-star parent rules g out in one count."""
+    if g.n and _core_size(g.rows, 1 << g.n - 1) > s:
+        return None
     return graph6.encode(canonical_form(g).canon) if is_minimal_nonstar(
         g, s) else None
 

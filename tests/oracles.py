@@ -336,6 +336,13 @@ def naive_refine(rows, cells):
     return cells
 
 
+def brute_twin_class(rows, mask):
+    """Are the vertices of mask pairwise twins, N(u) - {v} = N(v) - {u}?"""
+    vs = [v for v in range(len(rows)) if mask >> v & 1]
+    return all(rows[u] & ~(1 << v) == rows[v] & ~(1 << u)
+               for u, v in combinations(vs, 2))
+
+
 def apply_perm_to_mask(mask, perm):
     """Image of a vertex mask under perm, one bit at a time."""
     out = 0

@@ -276,20 +276,24 @@ def _enumerator_forms(monkeypatch):
 
 def test_kpr_counts_its_next_to_top_level(monkeypatch):
     # level 8 of forb(K3) is counted, so most of its classes take no
-    # canonical form: fewer forms than the 583 classes to order 8
+    # canonical form: fewer forms than the 583 classes to order 8, and
+    # none for a child whose maximum-invariant vertices are twins
     forms = _enumerator_forms(monkeypatch)
     report = verify_kpr(2, 9)
     assert report.rows[-1]["covered"] == "116011231"
     assert len(forms) < 583
+    assert len(forms) == 313
 
 
 def test_nonstar_scan_counts_its_top_order(monkeypatch):
     # order 7 is counted, so most of its classes take no canonical form:
-    # fewer forms than the 1,253 classes ALL has to order 7
+    # fewer forms than the 1,253 classes ALL has to order 7, and none for
+    # a child whose maximum-invariant vertices are twins
     forms = _enumerator_forms(monkeypatch)
     report = minimal_nonstar_scan(1, 7)
     assert report.scanned[-1] == (7, 1044)
     assert len(forms) < 1253
+    assert len(forms) == 436
 
 
 # sha256 over (n, unlabeled, labeled, member rows) at every level to n = 8,

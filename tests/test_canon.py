@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import hfspeed.canon as canon
 from hfspeed.canon import (
-    _refine, canonical_form, canonical_graph, group_order,
+    _refine, _twin_class, canonical_form, canonical_graph, group_order,
     subset_orbit_reps, subset_orbits, vertex_invariant, vertex_orbit,
 )
 from hfspeed.enumeration import enumerate_family
@@ -21,7 +21,8 @@ from hfspeed.graphs import (
 )
 from oracles import (
     all_labeled_graphs, apply_perm_to_mask, bfs_subset_orbit_reps,
-    bfs_subset_orbits, brute_aut_order, brute_isomorphic, naive_refine,
+    bfs_subset_orbits, brute_aut_order, brute_isomorphic, brute_twin_class,
+    naive_refine,
 )
 from test_graphs import graphs_strategy
 
@@ -271,6 +272,38 @@ class TestPinnedLabeling:
         assert len(seen) == leaves
         assert len(cf.generators) == gens
         assert cf.aut_order == aut
+
+    @pytest.mark.parametrize("g", [edgeless(16), complete(16), star(15)],
+                             ids=["edgeless(16)", "K16", "K1,15"])
+    def test_twin_cells_descend_without_refining(self, g, monkeypatch):
+        # every target cell is a twin class, so the first path is taken at
+        # once below the root: one refinement instead of 16, 16 and 15
+        calls = []
+        real = canon._refine
+
+        def spy(rows, cells, queue=None):
+            calls.append(1)
+            return real(rows, cells, queue)
+
+        monkeypatch.setattr(canon, "_refine", spy)
+        cf = canonical_form(g)
+        assert len(calls) == 1
+        assert group_order(cf.generators, g.n) == cf.aut_order
+
+
+class TestTwinClass:
+    def test_matches_pairwise_oracle(self):
+        # every nonempty vertex subset of every class to n = 6, and of a
+        # seeded relabelled copy of each
+        rng = random.Random(32)
+        for level in enumerate_family(ALL, 6).members:
+            for g in level:
+                perm = list(range(g.n))
+                rng.shuffle(perm)
+                for h in (g, relabel(g, perm)):
+                    for mask in range(1, 1 << h.n):
+                        assert (_twin_class(h.rows, mask)
+                                == brute_twin_class(h.rows, mask))
 
 
 def _is_equitable(rows, cells):

@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
-from hfspeed.canon import canonical_form, canonical_graph, group_order
+from hfspeed.canon import (
+    canonical_form, canonical_graph, group_order, vertex_orbit,
+)
 from hfspeed.enumeration import (
     ENUM_MAX_N, DeltaReport, SpeedTable, enumerate_family,
     labeled_count_direct, speed_delta,
@@ -22,7 +24,7 @@ from hfspeed.families import (
     ALL, Apex, C, Forb, HST, IntersectionFam, Iota, M, PartitionProduct, S,
 )
 from hfspeed.graph6 import decode
-from hfspeed.graphs import complete, cycle, path, relabel
+from hfspeed.graphs import Graph, complete, cycle, path, relabel
 from hfspeed.stars import Constellation, PJFamily
 from hfspeed.structure import ReducedFamily
 from oracles import brute_embeds_induced
@@ -210,6 +212,9 @@ COUNTED = [
     (ALL, 7), (Forb([complete(3)]), 9), (HST(2, 0), 9), (HST(3, 0), 8),
     (PJFamily(Constellation(decode("A?"), (0, 1), (1, 1), (0, 0))), 7),
     (ReducedFamily(Forb([cycle(5)]), 2), 7),
+    # twin-heavy: many children tie a twin of x on the maximum invariant
+    (PJFamily(Constellation(decode("@"), (0,), (1,), (0,))), 10),
+    (Forb([path(4)]), 8),
 ]
 
 
@@ -247,6 +252,36 @@ class TestCountedLevel:
         assert [k for k in kept if k < 8] == [k for k in sorted(calls)
                                               if k < 8]
         assert calls.count(8) < kept.count(8)
+
+    @pytest.mark.parametrize("fam, n", [
+        (ALL, 7), (Forb([complete(3)]), 8), COUNTED[-2], COUNTED[-1]],
+        ids=["ALL-7", "forb(K3)-8", "pj(@;0;1;0)-10", "forb(P4)-8"])
+    def test_twin_ties_are_canonical_children(self, fam, n, monkeypatch):
+        # a child whose maximum-invariant vertices form a twin class is
+        # accepted with no canonical form; canonical_form must accept it
+        # too, with the |Aut| the record carries
+        import hfspeed.enumeration as enumeration
+        ties = set()
+        real = enumeration._twin_class
+
+        def spy(rows, mask):
+            twins = real(rows, mask)
+            if twins and mask & (mask - 1):
+                ties.add(tuple(rows))
+            return twins
+
+        monkeypatch.setattr(enumeration, "_twin_class", spy)
+        _, top = enumeration._enumerate(fam, n, None, 1, False, None, None,
+                                        lambda child: tuple(child.rows))
+        checked = 0
+        for rows, _, aut in top:
+            if rows in ties:
+                cf = canonical_form(Graph.from_rows(rows))
+                w = cf.labeling.index(n - 1)
+                assert vertex_orbit(n - 1, cf.generators, n) >> w & 1
+                assert cf.aut_order == aut
+                checked += 1
+        assert checked == len(ties) > 0
 
     def test_checkpointed_run_writes_the_same_files(self, tmp_path):
         bare, kept = tmp_path / "bare", tmp_path / "kept"
