@@ -10,15 +10,13 @@ A leaf equal to the first one gives an automorphism fixing the path prefix
 the two share, so the subtree below their branching is an image of one
 searched in full and holds no smaller leaf: the search backjumps to the
 first-path node it branched from (nauty's rule), and a symmetric group on
-n points costs n - 1 generators.  A first-path sibling v that is a twin
-of the first-path vertex w (same neighbours apart from each other) is not
-descended into: its leftmost leaf is the (w v)-image of the first, which
-would give the generator (w v) and the same backjump, unless a deeper
-first-path target cell holds v and a vertex between w and v.  When a
-first-path target cell T = {t1 < ... < tk} is a twin class, every other
-cell sees all of T or none, so individualizing t1, t2, ... splits
-nothing: the search descends once, unrefined, to T's singletons, then
-records (t(k-1) tk), ..., (t1 t2) as those levels' twin siblings would.
+n points costs n - 1 generators.  When a first-path target cell
+T = {t1 < ... < tk} is a twin class (same neighbours apart from each
+other), every other cell sees all of T or none, so individualizing t1,
+t2, ... splits nothing: the search descends once, unrefined, to T's
+singletons, then records (t(k-1) tk), ..., (t1 t2), the transpositions
+that descending into each level's twin sibling and backjumping at its
+first leaf would record.  Every other sibling is descended into.
 
 Refinement splits cells by bit masks and skips splitters that cannot
 split anything.  A singleton splitter splits each cell with two mask
@@ -54,6 +52,7 @@ counts each orbit's size as it walks it.
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .graphs import Graph, bits, relabel
 
 
@@ -221,7 +220,7 @@ def canonical_form(g: Graph, cells=None) -> CanonicalForm:
     With `cells` (ordered list of vertex masks covering V) the search only
     considers labelings whose position order refines the given cell order,
     i.e. canonical forms of the colored graph.  Generators then preserve the
-    coloring.
+    coloring.  Cells that do not partition V raise ValidationError.
     """
     return _canonical_form(g, cells, vertex_invariant(g))
 
@@ -234,29 +233,22 @@ def _canonical_form(g, cells, inv):
     rows = g.rows
 
     if cells is None:
+        cells = [(1 << n) - 1]
+    union = 0
+    for c in cells:
+        union |= c
+    if union != (1 << n) - 1 or sum(c.bit_count() for c in cells) != n:
+        raise ValidationError("initial cells must partition the vertex set")
+    initial = []
+    for cell in cells:
         groups = {}
-        for v in range(n):
+        for v in bits(cell):
             groups.setdefault(inv[v], 0)
             groups[inv[v]] |= 1 << v
-        initial = [groups[k] for k in sorted(groups)]
-    else:
-        union = 0
-        for c in cells:
-            union |= c
-        if (union != (1 << n) - 1
-                or sum(c.bit_count() for c in cells) != n):
-            raise ValueError("initial cells must partition the vertex set")
-        initial = []
-        for cell in cells:
-            groups = {}
-            for v in bits(cell):
-                groups.setdefault(inv[v], 0)
-                groups[inv[v]] |= 1 << v
-            initial.extend(groups[k] for k in sorted(groups))
+        initial.extend(groups[k] for k in sorted(groups))
 
     best = None          # (enc, labeling)
     first = None         # (enc, labeling, path) at the first leaf
-    first_cells = []     # first_cells[d]: target cell of the first path at d
     gens = []
     fixed = []           # fixed[i]: mask of the points gens[i] fixes
 
@@ -329,25 +321,18 @@ def _canonical_form(g, cells, inv):
         cell = cells[target]
         head = cells[:target]
         tail = cells[target + 1:]
-        on_first = first is None
-        if on_first:
-            first_cells.append(cell)
-            if _twin_class(rows, cell):
-                # individualizing a twin splits nothing: take t1..t(k-1)
-                # at once, then record what each level's sibling would
-                chain = list(bits(cell))
-                rest = cell
-                for t in chain[:-2]:
-                    rest ^= 1 << t
-                    first_cells.append(rest)
-                k = search(head + [1 << t for t in chain] + tail,
-                           prefix + tuple(chain[:-1]),
-                           pmask | cell ^ 1 << chain[-1])
-                if k is not None and k < len(prefix):
-                    return k
-                for i in range(len(chain) - 1, 0, -1):
-                    record_aut(swap(chain[i - 1], chain[i]))
-                return
+        if first is None and _twin_class(rows, cell):
+            # individualizing a twin splits nothing: take t1..t(k-1) at
+            # once, then record what each level's sibling descent would
+            chain = list(bits(cell))
+            k = search(head + [1 << t for t in chain] + tail,
+                       prefix + tuple(chain[:-1]),
+                       pmask | cell ^ 1 << chain[-1])
+            if k is not None and k < len(prefix):
+                return k
+            for i in range(len(chain) - 1, 0, -1):
+                record_aut(swap(chain[i - 1], chain[i]))
+            return
         tried = []
         m = cell
         while m:
@@ -357,15 +342,6 @@ def _canonical_form(g, cells, inv):
             if tried and gens and orbit_hit(v, tried, pmask):
                 continue
             tried.append(v)
-            if on_first and len(tried) > 1:
-                w = tried[0]
-                between = (1 << v) - (2 << w)
-                if (rows[v] & ~(1 << w) == rows[w] & ~(1 << v)
-                        and not any(c >> v & 1 and c & between
-                                    for c in first_cells[len(prefix) + 1:])):
-                    # twins: the descent would only record (w v)
-                    record_aut(swap(w, v))
-                    continue
             # every other cell of the child is a cell of the equitable
             # partition just refined, so it cannot split anything
             k = search(_refine(rows, head + [b, cell ^ b] + tail,
@@ -386,12 +362,12 @@ def _first_path_order(path, gens, n):
     under the generators fixing path[:i] pointwise.
 
     Every first-path child not pruned by orbit_hit either is a twin of
-    path[i] (a sibling or in a twin chain), whose transposition fixes
-    path[:i] and maps path[i] onto it,
-    or had its subtree searched up to a leaf equal to the first one, if
-    any, whose automorphism does the same; the backjump skips only the
-    rest of that subtree.  So these orbits are the full stabilizer orbits,
-    and the stabilizer of the whole path is trivial (a discrete partition).
+    path[i] in a twin chain, whose transposition fixes path[:i] and maps
+    path[i] onto it, or had its subtree searched up to a leaf equal to the
+    first one, if any, whose automorphism does the same; the backjump
+    skips only the rest of that subtree.  So these orbits are the full
+    stabilizer orbits, and the stabilizer of the whole path is trivial (a
+    discrete partition).
     """
     order = 1
     fixers = gens

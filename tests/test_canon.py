@@ -14,6 +14,7 @@ from hfspeed.canon import (
     subset_orbit_reps, subset_orbits, vertex_invariant, vertex_orbit,
 )
 from hfspeed.enumeration import enumerate_family
+from hfspeed.errors import ValidationError
 from hfspeed.families import ALL
 from hfspeed.graphs import (
     Graph, bits, complement, complete, complete_bipartite, copies, cycle,
@@ -155,12 +156,12 @@ class TestColoredCanon:
         assert opp.canon != adj.canon or opp.aut_order != adj.aut_order
 
     def test_bad_cells(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             canonical_form(path(3), cells=[0b001])
 
     def test_overlapping_cells(self):
         # sizes add up to n, but the cells overlap and miss vertex 2
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             canonical_form(path(3), cells=[0b011, 0b001])
 
 
@@ -253,13 +254,14 @@ class TestPinnedLabeling:
     @pytest.mark.parametrize("g, leaves, gens, aut", [
         (edgeless(8), 1, 7, math.factorial(8)),
         (complete_bipartite(3, 4), 1, 5, 6 * 24),
-        (copies(3, complete(3)), 3, 8, 6 ** 4),
+        (copies(3, complete(3)), 5, 8, 6 ** 4),
     ], ids=["edgeless(8)", "K3,4", "3K3"])
-    def test_twin_siblings_skip_their_descent(self, g, leaves, gens, aut,
-                                              monkeypatch):
-        # a first-path sibling that is a twin of the first-path vertex
-        # gives their transposition without a leaf; descending into each
-        # such sibling would cost 8, 6 and 9 leaves
+    def test_twin_heavy_leaves_generators_and_aut(self, g, leaves, gens, aut,
+                                                  monkeypatch):
+        # every first-path target cell of edgeless(8) and K3,4 is a twin
+        # class, so the chain reaches the only leaf; 3K3's root cell and
+        # its cell of the two other triangles are not, and each twin
+        # sibling of their first-path vertex costs a leaf
         seen = []
         real = canon._encode_discrete
 
@@ -289,6 +291,47 @@ class TestPinnedLabeling:
         cf = canonical_form(g)
         assert len(calls) == 1
         assert group_order(cf.generators, g.n) == cf.aut_order
+
+
+def _twin_heavy_graph(rng, n):
+    """A seeded random graph on n vertices blown up from a random quotient
+    on fewer vertices, each class a clique or independent set, relabelled."""
+    k = rng.randint(1, n - 1)
+    quotient = _random_graph(rng, k)
+    part = [rng.randrange(k) for _ in range(n)]
+    clique = [rng.random() < 0.5 for _ in range(k)]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if (clique[part[u]] if part[u] == part[v]
+                 else quotient.rows[part[u]] >> part[v] & 1)]
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return relabel(Graph(n, edges), perm)
+
+
+class TestTwinChain:
+    def test_chain_equals_the_descent_it_skips(self, monkeypatch):
+        # with no cell taken for a twin class every sibling is descended
+        # into; rows, labeling, |Aut| and generators must not move.  The
+        # enumerator binds its own _twin_class, so ALL's classes do not
+        # depend on the patch
+        rng = random.Random(33)
+        inputs = []
+        for n, level in enumerate(enumerate_family(ALL, 7).members):
+            for g in level:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                inputs += [(g, None), (relabel(g, perm), None)]
+        for i in range(300):
+            g = _twin_heavy_graph(rng, rng.randint(9, 16))
+            inputs.append((g, _random_cells(rng, g.n) if i % 2 else None))
+
+        def fields(cf):
+            return cf.canon.rows, cf.labeling, cf.aut_order, cf.generators
+
+        chained = [fields(canonical_form(g, cells)) for g, cells in inputs]
+        monkeypatch.setattr(canon, "_twin_class", lambda rows, mask: False)
+        descended = [fields(canonical_form(g, cells)) for g, cells in inputs]
+        assert descended == chained
 
 
 class TestTwinClass:
