@@ -528,8 +528,3 @@ def subset_orbits(n: int, generators, masks=None):
                     frontier.append(y)
         orbits[m] = size
     return orbits
-
-
-def subset_orbit_reps(n: int, generators, masks=None):
-    """The least mask of each orbit of subset_orbits, listed ascending."""
-    return list(subset_orbits(n, generators, masks))

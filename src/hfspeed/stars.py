@@ -37,9 +37,10 @@ from collections import Counter, namedtuple
 from functools import partial
 from itertools import chain, combinations, combinations_with_replacement
 
-from .canon import canonical_form, subset_orbit_reps
-from .errors import CapacityError, ValidationError
-from .families import ALL, Budget, Family, HST, MembershipResult, _Kind
+from .canon import _twin_class, canonical_form, subset_orbits
+from .errors import CapacityError, ResourceLimitError, ValidationError
+from .families import (ALL, Budget, Family, HST, MembershipResult, _Kind,
+                       _refusal)
 from .graphs import (
     MAX_VERTICES, Graph, _embed, _typed_parts, bits, induced_subgraph,
     mask_of,
@@ -51,38 +52,34 @@ from . import graph6
 # crowns and cores
 
 def is_crown(g: Graph, mask: int) -> bool:
-    """Is the vertex set `mask` a crown of g?
-
-    Every vertex sees all of the crown (minus itself, when inside) or
-    none of it.  The per-vertex rule already forces the crown to induce
-    a complete or edgeless graph, so no separate internal check is
-    needed.
-    """
-    for v in range(g.n):
-        others = mask & ~(1 << v)
-        hit = g.rows[v] & others
-        if hit and hit != others:
-            return False
-    return True
+    """Is the vertex set `mask` a crown of g: are its vertices pairwise
+    twins (canon._twin_class; see is_s_star)?  The empty set and single
+    vertices are; a negative mask, or one with a bit at or above g.n,
+    is refused."""
+    if mask < 0 or mask >> g.n:
+        raise ValidationError(f"mask {mask} is not within g's {g.n} vertices")
+    return not mask or _twin_class(g.rows, mask)
 
 
 def minimal_core(g: Graph, max_size: int | None = None):
-    """Smallest S with V(G) - S a crown, ties broken lexicographically.
+    """(|S|, S) for the lex-least smallest S with V(G) - S a crown, or
+    (None, None) when |S| exceeds max_size.
 
-    Scans subset sizes upward; itertools yields each size in lex order,
-    so the first hit is the lex-least core of minimum size.  max_size
-    cuts the scan early; no core within it gives (None, None).  That
-    size is n minus a largest twin class, which is_s_star reads directly.
+    V(G) - S is a largest twin class, keyed by open rows (false twins)
+    and closed rows (true twins) as in _core_size.  Two such classes of
+    2 or more vertices are disjoint, so the lex-least S leaves out the
+    one whose least vertex is largest; with no twins that is vertex n - 1.
     """
-    n = g.n
-    full = g.full_mask()
-    top = n if max_size is None else min(max_size, n)
-    for size in range(top + 1):
-        for sub in combinations(range(n), size):
-            m = mask_of(sub)
-            if is_crown(g, full ^ m):
-                return size, sub
-    return None, None
+    classes = {}
+    for v, r in enumerate(g.rows):
+        for key in (r, r | 1 << v):
+            classes[key] = classes.get(key, 0) | 1 << v
+    crown = max(classes.values(), default=0,
+                key=lambda m: (m.bit_count(), m & -m))
+    core = tuple(bits(g.full_mask() ^ crown))
+    if max_size is not None and len(core) > max_size:
+        return None, None
+    return len(core), core
 
 
 def _core_size(rows, drop=0) -> int:
@@ -332,11 +329,14 @@ def find_template(g: Graph, c, budget_limit: int | None = None):
     The P(J) search with the whole core as W: embed J (vertices in label
     order, candidate hosts ascending, degree-prefiltered), then assign
     the remaining vertices to parts in label order (_assign_crowns, on
-    the typed-part kernel graphs._typed_parts).
-    The returned template has been re-verified.
+    the typed-part kernel graphs._typed_parts).  The returned template
+    is re-verified; an exhausted budget is refused as in is_member_PJ.
     """
     c = _as_constellation(c)
-    hit = _pj_search(g, c, [range(c.j.n)], Budget(budget_limit))
+    try:
+        hit = _pj_search(g, c, [range(c.j.n)], Budget(budget_limit))
+    except ResourceLimitError as e:
+        raise _refusal(PJFamily(c), g, e) from e
     if hit is None:
         return None
     pairs, crowns = hit
@@ -448,12 +448,15 @@ def is_member_PJ(g: Graph, c, budget_limit: int | None = None) -> MembershipResu
     both directions: restricting any host template to g yields such a
     (sigma, parts), and conversely g plus the missing core vertices of
     J - W (wired to match J, and to crowns per alpha) is itself a host,
-    so no crown padding is ever needed.  Certificates replay through
-    verify_pj_certificate, which rebuilds that host.
+    so no crown padding is ever needed; certificates replay through
+    verify_pj_certificate.  An exhausted budget is refused naming pj(c).
     """
     c = _as_constellation(c)
     budget = Budget(budget_limit)
-    cert = _pj_decide(g, c, budget)
+    try:
+        cert = _pj_decide(g, c, budget)
+    except ResourceLimitError as e:
+        raise _refusal(PJFamily(c), g, e) from e
     return MembershipResult(cert is not None, cert, budget.used, c, g)
 
 
@@ -624,7 +627,7 @@ def _irreducible_fields(s):
         for j, gens in zip(table.members[size], table.gens[size]):
             opened = set(j.rows)
             closed = {r | 1 << v for v, r in enumerate(j.rows)}
-            for m in subset_orbit_reps(size, gens):
+            for m in subset_orbits(size, gens):
                 for b, removable in ((1, closed), (0, opened)):
                     if m not in removable:
                         buckets[-b, -m.bit_count()].append((j, alphas[m], b))
@@ -692,7 +695,7 @@ def generate_constellations(l: int, s: int) -> list[Constellation]:
             base, phi, alpha, beta)[0].generators
         pperms = [tuple(pair_idx[(p[u], p[v])] for u, v in pairs)
                   for p in gens]
-        for code in subset_orbit_reps(len(pairs), pperms):
+        for code in subset_orbits(len(pairs), pperms):
             rows = list(base)
             for b in bits(code):
                 u, v = pairs[b]

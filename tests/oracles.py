@@ -10,7 +10,7 @@ import math
 from itertools import combinations, permutations, product
 
 from hfspeed.canon import (
-    canonical_form, subset_orbit_reps, vertex_invariant, vertex_orbit,
+    canonical_form, subset_orbits, vertex_invariant, vertex_orbit,
 )
 from hfspeed.families import (
     ALL, Apex, AtomAll, AtomC, AtomM, AtomS, Budget,
@@ -379,7 +379,7 @@ def all_reps_child_records(family, parents, n, budget_limit, counted,
             if t >= maxdeg and not sub & deg_mask[t]:
                 survivors.append(sub)
         parent = Graph.from_rows(rows)
-        for sub in subset_orbit_reps(n, gens, survivors):
+        for sub in subset_orbits(n, gens, survivors):
             child = add_vertex(parent, sub)
             if not family.membership(child, Budget(budget_limit),
                                      new_vertex_only=True).member:

@@ -45,6 +45,16 @@ def small_graphs(n_max):
     return [g for n in range(n_max + 1) for g in table.members[n]]
 
 
+def classes_and_relabellings(n_max, seed):
+    """Every class of ALL to n_max, each followed by a seeded relabelling."""
+    rng = random.Random(seed)
+    for g in small_graphs(n_max):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield g
+        yield relabel(g, perm)
+
+
 def brute_crown(g, mask):
     # the two-clause definition: outside all-or-none, inside homogeneous
     for v in range(g.n):
@@ -91,9 +101,16 @@ class TestCrownsAndCores:
                        if m.bit_count() == 2)
 
     def test_is_crown_matches_two_clause_oracle(self):
-        for g in small_graphs(5):
+        for g in classes_and_relabellings(7, 34):
             for mask in range(1 << g.n):
                 assert is_crown(g, mask) == brute_crown(g, mask), (g.rows, mask)
+
+    def test_is_crown_refuses_absent_vertices(self):
+        # a bit at or above n, or a negative mask, names no vertex set
+        for g in (K0, complete(3), cycle(5)):
+            for mask in (-1, -(1 << g.n), 1 << g.n, (1 << g.n + 1) - 1):
+                with pytest.raises(ValidationError):
+                    is_crown(g, mask)
 
     def test_minimal_core_contract_examples(self):
         assert minimal_core(star(3)) == (1, (0,))
@@ -104,8 +121,12 @@ class TestCrownsAndCores:
         assert minimal_core(edgeless(6)) == (0, ())
 
     def test_minimal_core_matches_brute(self):
-        for g in small_graphs(5):
-            assert minimal_core(g) == brute_minimal_core(g), g.rows
+        for g in classes_and_relabellings(7, 34):
+            best = brute_minimal_core(g)
+            assert minimal_core(g) == best, g.rows
+            for max_size in range(-1, g.n + 1):
+                want = best if best[0] <= max_size else (None, None)
+                assert minimal_core(g, max_size) == want, (g.rows, max_size)
 
     def test_minimal_core_size_bound(self):
         for g in small_graphs(5):
@@ -114,7 +135,17 @@ class TestCrownsAndCores:
             m = 0
             for v in core:
                 m |= 1 << v
-            assert is_crown(g, g.full_mask() ^ m)
+            assert brute_crown(g, g.full_mask() ^ m)
+
+    def test_minimal_core_scans_no_subsets(self, monkeypatch):
+        # the twin classes give the core at once; a subset scan would
+        # take 2^39 steps on P40
+        def refuse(*args):
+            raise AssertionError("minimal_core scanned subsets")
+
+        monkeypatch.setattr(stars, "combinations", refuse)
+        assert minimal_core(path(40)) == (39, tuple(range(39)))
+        assert minimal_core(edgeless(64)) == (0, ())
 
     def test_max_size_early_stop(self):
         assert minimal_core(cycle(5), max_size=3) == (None, None)
@@ -180,7 +211,7 @@ class TestStarSystems:
         assert star_system_irreducible(E2J)
         host = constellation_host(E2J.as_constellation(), [3])
         assert host == complement(disjoint_union(complete(2), edgeless(3)))
-        assert minimal_core(host)[0] == 2
+        assert brute_minimal_core(host)[0] == 2
         with pytest.raises(ValidationError):
             constellation_host(E2J.as_constellation(), [-1])
 
@@ -198,7 +229,7 @@ class TestStarSystems:
                         for crown in (2, 3, 5):
                             host = constellation_host(
                                 sys.as_constellation(), [crown])
-                            assert (minimal_core(host)[0] == k) == irr, (
+                            assert (brute_minimal_core(host)[0] == k) == irr, (
                                 j.rows, alpha, beta, crown)
 
     def test_irreducible_star_systems_counts(self):
@@ -503,6 +534,16 @@ class TestMembership:
         c = Constellation(complete(2), (0, 1), (1, 0), (0, 1))
         with pytest.raises(ResourceLimitError):
             is_member_PJ(cycle(7), c, budget_limit=2)
+
+    def test_budget_refusal_names_family_level_and_graph(self):
+        # both entry points build their own budget; an exhausted one is
+        # refused as the enumerator refuses it, chained from the original
+        for search in (is_member_PJ, find_template):
+            with pytest.raises(ResourceLimitError) as info:
+                search(star(5), DOM, budget_limit=1)
+            assert str(info.value).startswith(
+                f"pj(@;0;1;0) at level 6, graph {graph6.encode(star(5))}: ")
+            assert isinstance(info.value.__cause__, ResourceLimitError)
 
     def test_accepts_star_system_directly(self):
         assert is_member_PJ(star(5), DOM).member
